@@ -10,7 +10,6 @@ bound evaluators.
 """
 
 from .coloring import (
-    CliqueWeighting,
     CoverSolution,
     chromatic_number,
     dichromatic_lower_bound_mc,

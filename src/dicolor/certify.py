@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -30,8 +29,8 @@ from .errors import (
     TriesExhaustedError,
 )
 from .families import COLUMN_CAP, maximal_acyclic_sets
-from .graphs import Digraph, Graph, derive_rng, is_acyclic, mask_of, random_orientation
-from .sparse import RankedOrder, Weighting, ranked_order
+from .graphs import Digraph, Graph, derive_rng, is_acyclic, random_orientation
+from .sparse import RankedOrder, Weighting, _principal_dense_sets, ranked_order
 
 CANDIDATE_CAP = 1 << 24
 FLOAT_TOL = 1e-12
@@ -86,23 +85,7 @@ def enumerate_principal_dense(
     total = _candidate_total(n, t, k_max)
     if total > cap:
         raise BudgetExceededError("principal-dense enumeration", total, cap)
-    return _generate_candidates(G, order, t, d, k_max)
-
-
-def _generate_candidates(
-    G: Graph, order: RankedOrder, t: Fraction, d: Fraction, k_max: int
-) -> Iterator[int]:
-    for k in range(1, k_max + 1):
-        prefix = order.prefix(t * k)
-        verts = [v for v in order.order if (prefix >> v) & 1]
-        if len(verts) < k:
-            continue
-        need = d * k  # required 2*e(G[W])
-        for combo in combinations(verts, k):
-            W = mask_of(combo)
-            twice_edges = sum((G.adj[v] & W).bit_count() for v in combo)
-            if twice_edges >= need:
-                yield W
+    return _principal_dense_sets(G, order, t, d, G.full_mask, k_max, cap)
 
 
 def certify_orientation(
@@ -340,8 +323,7 @@ def cover_bound_certificate(
     if strict:
         if weighting is not None or t is not None or d is not None:
             raise InputError("strict mode derives t, d, and the weighting itself")
-        fractional_value, _, dual = fractional_chromatic_with_dual(G, vertex_budget)
-        weighting = Weighting(dual.values)
+        fractional_value, _, weighting = fractional_chromatic_with_dual(G, vertex_budget)
         t_eff = fractional_value
         if t_eff <= 0:
             raise InputError("strict mode needs a graph with at least one vertex")
@@ -374,8 +356,7 @@ def cover_bound_certificate(
         t_eff = Fraction(t)
         d_eff = Fraction(d)
         if weighting is None:
-            fractional_value, _, dual = fractional_chromatic_with_dual(G, vertex_budget)
-            weighting = Weighting(dual.values)
+            fractional_value, _, weighting = fractional_chromatic_with_dual(G, vertex_budget)
             notes.append("weighting taken from the optimal clique weighting")
         hyps = (
             ("t >= 2*(d+1)", t_eff >= 2 * (d_eff + 1)),

@@ -3,10 +3,9 @@
 Subcommands map one-to-one onto library operations; every run prints a
 JSON report (rationals as "p/q" strings) to stdout, errors go to stderr.
 Exit codes: 0 success, 1 property/certification failure, 2 budget
-exceeded, 3 invalid input.  Identical invocations with the same seed
-reproduce identical result fields; only timings vary.  ``--threads`` caps
-worker processes; execution is currently sequential, so results never
-depend on it.
+exceeded, 3 invalid input (usage errors included).  Identical
+invocations with the same seed reproduce identical result fields; only
+timings vary.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from .errors import (
     InputError,
     TriesExhaustedError,
 )
-from .graphs import Graph
+from .graphs import Graph, bit_list, complete_graph
 from .io import build_digraph, build_graph, format_fraction, graph_to_dict, load_graph_file, parse_fraction
-from .sparse import Weighting
+from .sparse import Weighting, ranked_order
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -49,15 +48,20 @@ def _ser(value):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as invalid input instead of exiting with 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dicolor", description=__doc__)
+    p = _Parser(prog="dicolor", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized runs")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker cap (results never depend on it)")
     common.add_argument("--budget", type=int, default=None,
                         help="override the main budget of the operation")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, help):
         return sub.add_parser(name, help=help, parents=[common])
@@ -128,7 +132,7 @@ def _run_compute(args) -> tuple[dict, int]:
         value, cover, dual = coloring.fractional_chromatic_with_dual(G, **kw)
         results["chif"] = value
         results["cover"] = [
-            {"set": sorted_bits(mask), "weight": w} for mask, w in cover.parts
+            {"set": bit_list(mask), "weight": w} for mask, w in cover.parts
         ]
         results["dual_weighting"] = list(dual.values)
         results["dual_total"] = dual.total
@@ -156,23 +160,10 @@ def _run_compute(args) -> tuple[dict, int]:
     return {"results": results, "verdicts": verdicts}, EXIT_OK
 
 
-def sorted_bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
 def _run_certify(args) -> tuple[dict, int]:
     G, w = _load_graph(args.file)
     if w is None:
         w = Weighting.uniform(G.n)
-    from .sparse import ranked_order
-
     order = ranked_order(w)
     cert = certify.find_good_orientation(
         G, order, parse_fraction(args.t), parse_fraction(args.d),
@@ -241,17 +232,12 @@ def _run_construct(args) -> tuple[dict, int]:
         payload = graph_to_dict(G)
     elif args.what == "complete":
         (n,) = _int_args(args.args, 1, "construct complete")
-        from .graphs import complete_graph
-
         payload = graph_to_dict(complete_graph(n))
     elif args.what == "blowup":
         if len(args.args) != 2:
             raise InputError("construct blowup expects FILE m")
         G, _ = _load_graph(args.args[0])
-        try:
-            m = int(args.args[1])
-        except ValueError:
-            raise InputError(f"blow-up power must be an integer, got {args.args[1]!r}")
+        (m,) = _int_args(args.args[1:], 1, "construct blowup power")
         kw = {"vertex_budget": args.budget} if args.budget else {}
         blown, _ = constructions.blow_up(G, m, **kw)
         payload = graph_to_dict(blown)
@@ -291,7 +277,7 @@ def _run_bounds(args) -> tuple[dict, int]:
         if len(args.args) != 2:
             raise InputError("bounds binom expects T K")
         t = parse_fraction(args.args[0])
-        k = int(args.args[1])
+        (k,) = _int_args(args.args[1:], 1, "bounds binom K")
         return {"results": {"holds": certify.check_binomial_bound(t, k)}}, EXIT_OK
     if which == "biclique-cond":
         m, k = _int_args(args.args, 2, "bounds biclique-cond")
@@ -308,7 +294,7 @@ def _run_bounds(args) -> tuple[dict, int]:
     if len(args.args) not in (1, 2):
         raise InputError("bounds union-bound expects T [N]")
     t = parse_fraction(args.args[0])
-    n = int(args.args[1]) if len(args.args) == 2 else None
+    n = _int_args(args.args[1:], 1, "bounds union-bound N")[0] if len(args.args) == 2 else None
     rep = certify.union_bound_report(t, n)
     results = {
         "t": rep.t,
@@ -344,10 +330,9 @@ def _run_verify(args) -> tuple[dict, int]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args = _parser().parse_args(argv)
         if args.command == "compute":
             body, code = _run_compute(args)
         elif args.command == "certify":
@@ -379,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "command": " ".join(["dicolor"] + argv),
             "seed": args.seed,
-            "params": {"threads": args.threads, "budget": args.budget},
+            "params": {"budget": args.budget},
             "results": _ser(body.get("results", {})),
             "verdicts": _ser(body.get("verdicts", {})),
             "timings": {"seconds": round(time.perf_counter() - started, 6)},

@@ -20,11 +20,11 @@ from .graphs import (
     Graph,
     derive_rng,
     is_forest,
-    iter_bits,
     orientations,
     random_orientation,
 )
 from .simplex import simplex_max
+from .sparse import Weighting
 
 DP_VERTEX_BUDGET = 24
 LP_VERTEX_BUDGET = 20
@@ -42,20 +42,6 @@ class CoverSolution:
 
     def coverage(self, v: int) -> Fraction:
         return sum((w for mask, w in self.parts if (mask >> v) & 1), Fraction(0))
-
-
-@dataclass(frozen=True)
-class CliqueWeighting:
-    """Vertex weighting with weight at most 1 on every admissible set."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
-    def of(self, mask: int) -> Fraction:
-        return sum((self.values[v] for v in iter_bits(mask)), Fraction(0))
 
 
 def _min_cover(full: int, parts_for) -> int:
@@ -111,6 +97,18 @@ def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) 
     )
 
 
+def _best_orientation(digraphs, value) -> tuple:
+    """Largest ``value(D)`` over ``digraphs`` with the first D reaching it."""
+    best = 0
+    witness = None
+    for D in digraphs:
+        c = value(D)
+        if c > best:
+            best = c
+            witness = D
+    return best, witness
+
+
 def dichromatic_number_exact(
     G: Graph,
     edge_budget: int = ORIENT_EDGE_BUDGET,
@@ -132,14 +130,7 @@ def dichromatic_number_exact(
         raise BudgetExceededError(
             "orientation enumeration (use dichromatic_lower_bound_mc)", 2**m, 2**edge_budget
         )
-    best = 0
-    witness = None
-    for D in orientations(G):
-        c = digraph_chromatic_number(D, vertex_budget)
-        if c > best:
-            best = c
-            witness = D
-    return best, witness
+    return _best_orientation(orientations(G), lambda D: digraph_chromatic_number(D, vertex_budget))
 
 
 def dichromatic_lower_bound_mc(
@@ -164,20 +155,13 @@ def dichromatic_lower_bound_mc(
     m = len(G.edges)
     if (1 << m) <= trials:
         return dichromatic_number_exact(G, edge_budget=m, vertex_budget=vertex_budget)
-    best = 0
-    witness = None
-    for i in range(trials):
-        D = random_orientation(G, derive_rng(seed, i))
-        c = digraph_chromatic_number(D, vertex_budget)
-        if c > best:
-            best = c
-            witness = D
-    return best, witness
+    samples = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
+    return _best_orientation(samples, lambda D: digraph_chromatic_number(D, vertex_budget))
 
 
 def _solve_cover_lp(
     n: int, columns: list[int]
-) -> tuple[Fraction, CoverSolution, CliqueWeighting]:
+) -> tuple[Fraction, CoverSolution, Weighting]:
     """Covering LP over the given column sets, solved through its dual.
 
     Variables of the simplex call are the vertex weights (the packing
@@ -195,7 +179,7 @@ def _solve_cover_lp(
     cover = CoverSolution(
         parts=tuple((col, yv) for col, yv in zip(columns, y) if yv > 0), objective=value
     )
-    weighting = CliqueWeighting(values=tuple(w))
+    weighting = Weighting(tuple(w))
     _check_certificate(n, columns, cover, weighting, value)
     return value, cover, weighting
 
@@ -204,7 +188,7 @@ def _check_certificate(
     n: int,
     columns: list[int],
     cover: CoverSolution,
-    weighting: CliqueWeighting,
+    weighting: Weighting,
     value: Fraction,
 ) -> None:
     # exact feasibility of both sides plus equal objectives; any failure
@@ -223,12 +207,12 @@ def _check_certificate(
 
 def fractional_chromatic_with_dual(
     G: Graph, vertex_budget: int = LP_VERTEX_BUDGET
-) -> tuple[Fraction, CoverSolution, CliqueWeighting]:
+) -> tuple[Fraction, CoverSolution, Weighting]:
     """Exact fractional chromatic number with primal and dual certificates."""
     if G.n > vertex_budget:
         raise BudgetExceededError("fractional-chromatic LP", G.n, vertex_budget)
     if G.n == 0:
-        return Fraction(0), CoverSolution((), Fraction(0)), CliqueWeighting(())
+        return Fraction(0), CoverSolution((), Fraction(0)), Weighting(())
     columns = list(maximal_independent_sets(G))
     return _solve_cover_lp(G.n, columns)
 
@@ -276,11 +260,7 @@ def fractional_dichromatic(
         digs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
     else:
         raise InputError(f"unknown mode {mode!r}")
-    best = Fraction(0)
-    for D in digs:
-        val = digraph_fractional_chromatic(D, vertex_budget)
-        if val > best:
-            best = val
+    best, _ = _best_orientation(digs, lambda D: digraph_fractional_chromatic(D, vertex_budget))
     return best
 
 

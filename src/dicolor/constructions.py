@@ -256,12 +256,16 @@ def bicliques_all_cyclic(
     return True, None
 
 
+def _four_m_squared_within(m: int, r: int) -> bool:
+    """Exact 4 m^2 <= 2^r for m >= 1, without building 2^r."""
+    return (4 * m * m - 1).bit_length() <= r
+
+
 def biclique_condition(m: int, k: int) -> bool:
     """Exact check of 2 + 2 log2(m) <= ceil(m/k) (as 4 m^2 <= 2^r)."""
     if m < 1 or k < 1:
         raise InputError("m and k must be positive")
-    r = -(-m // k)
-    return 4 * m * m <= (1 << r)
+    return _four_m_squared_within(m, -(-m // k))
 
 
 def biclique_failure_bound(m: int, k: int) -> float:
@@ -465,8 +469,8 @@ def kneser_recursion_inequalities(k: int) -> dict[str, bool]:
     x = r if k % 2 == 0 else r - 1
     m1 = comb(2 * r, x)
     q1 = isqrt(1 << (k - 4))  # floor(2^((k-4)/2)) for either parity
-    fam1 = 4 * m1 * m1 <= (1 << (-(-m1 // q1)))
+    fam1 = _four_m_squared_within(m1, -(-m1 // q1))
     m2 = comb(r + 2, 4)
     q2 = (k + 1) // 8
-    fam2 = 4 * m2 * m2 <= (1 << (-(-m2 // q2)))
+    fam2 = _four_m_squared_within(m2, -(-m2 // q2))
     return {"blowup_power": fam1, "small_power": fam2}

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from .errors import BudgetExceededError, InputError
 
 ENUM_EDGE_BUDGET = 24
-DP_VERTEX_BUDGET = 16
+ACYCLIC_COUNT_VERTEX_BUDGET = 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -305,7 +305,7 @@ def count_acyclic_orientations(G: Graph, edge_budget: int = ENUM_EDGE_BUDGET) ->
     return count
 
 
-def count_acyclic_orientations_fast(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
+def count_acyclic_orientations_fast(G: Graph, vertex_budget: int = ACYCLIC_COUNT_VERTEX_BUDGET) -> int:
     """Exact acyclic-orientation count via source-set inclusion-exclusion.
 
     Every acyclic orientation of G[S] with all vertices of an independent

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .errors import BudgetExceededError, ClassificationGapError, InputError
-from .graphs import Graph, bit_list, iter_bits, mask_of
+from .graphs import Graph, average_degree, iter_bits, mask_of
 
 SEARCH_CAP = 1 << 20
 
@@ -58,18 +59,6 @@ class RankedOrder:
     rank: tuple[int, ...]
     prefix_masks: tuple[int, ...]  # prefix_masks[k] = first k vertices
 
-    @classmethod
-    def from_weights(cls, w: Weighting) -> "RankedOrder":
-        order = tuple(sorted(range(len(w)), key=lambda v: (-w.values[v], v)))
-        rank = [0] * len(w)
-        prefixes = [0]
-        acc = 0
-        for i, v in enumerate(order):
-            rank[v] = i
-            acc |= 1 << v
-            prefixes.append(acc)
-        return cls(order=order, rank=tuple(rank), prefix_masks=tuple(prefixes))
-
     @property
     def n(self) -> int:
         return len(self.order)
@@ -106,7 +95,15 @@ def _floor_count(s, limit: int) -> int:
 
 
 def ranked_order(w: Weighting) -> RankedOrder:
-    return RankedOrder.from_weights(w)
+    order = tuple(sorted(range(len(w)), key=lambda v: (-w.values[v], v)))
+    rank = [0] * len(w)
+    prefixes = [0]
+    acc = 0
+    for i, v in enumerate(order):
+        rank[v] = i
+        acc |= 1 << v
+        prefixes.append(acc)
+    return RankedOrder(order=order, rank=tuple(rank), prefix_masks=tuple(prefixes))
 
 
 def is_principal(order: RankedOrder, X: int, s, Y: int | None = None) -> bool:
@@ -206,8 +203,9 @@ def find_principal_dense(
 ) -> int | None:
     """Some t-principal subset of A with average degree >= d, or None.
 
-    Scans the split's candidate prefix intersections first, then falls
-    back to bounded exhaustive search over all principal candidates.
+    Scans the split's candidate prefix intersections first, then returns
+    the first principal dense subset of A in enumeration order; that
+    search stops once its running candidate count passes ``cap``.
     """
     t = Fraction(t)
     d = Fraction(d)
@@ -219,28 +217,34 @@ def find_principal_dense(
         if not ((A >> v) & 1) or back[v] < d:
             continue
         cand = order.prefix_masks[order.rank[v] + 1] & A
-        if cand and _dense_enough(G, cand, d) and is_principal(order, cand, t):
+        if average_degree(G, cand) >= d and is_principal(order, cand, t):
             return cand
+    return next(_principal_dense_sets(G, order, t, d, A, A.bit_count(), cap), None)
+
+
+def _principal_dense_sets(
+    G: Graph, order: RankedOrder, t: Fraction, d: Fraction, within: int, k_max: int, cap: int
+) -> Iterator[int]:
+    """Yield the k-subsets of prefix(t*k) & within (k <= k_max) of average
+    degree >= d, by size and then lexicographically in rank order.
+
+    The running candidate count is checked against ``cap`` before each
+    size is scanned, so a set found earlier is still yielded.
+    """
     total = 0
-    for k in range(1, A.bit_count() + 1):
-        P = order.prefix(t * k) & A
-        verts = bit_list(P)
+    for k in range(1, k_max + 1):
+        P = order.prefix(t * k) & within
+        verts = [v for v in order.order if (P >> v) & 1]
         if len(verts) < k:
             continue
         total += comb(len(verts), k)
         if total > cap:
             raise BudgetExceededError("principal-dense search", total, cap)
+        need = d * k  # average degree >= d  <=>  2 e(G[W]) >= d |W|
         for combo in combinations(verts, k):
             W = mask_of(combo)
-            if _dense_enough(G, W, d):
-                return W
-    return None
-
-
-def _dense_enough(G: Graph, mask: int, d: Fraction) -> bool:
-    # average degree >= d  <=>  2 e(G[mask]) >= d |mask|
-    twice_edges = sum((G.adj[v] & mask).bit_count() for v in iter_bits(mask))
-    return twice_edges >= d * mask.bit_count()
+            if sum((G.adj[v] & W).bit_count() for v in combo) >= need:
+                yield W
 
 
 def degeneracy_coloring(G: Graph, within: int | None = None) -> tuple[int, list[int | None]]:

@@ -9,7 +9,7 @@ direct subset scans.  Slow and only meant for tiny instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def solve_square(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -159,3 +159,17 @@ def digraph_fractional_bruteforce(n: int, arcs: list[tuple[int, int]]) -> Fracti
     columns = sorted(brute_maximal_acyclic_sets(n, arcs))
     rows = [[1 if (col >> v) & 1 else 0 for v in range(n)] for col in columns]
     return packing_lp_value(rows, n)
+
+
+def brute_digraph_chromatic(n: int, arcs: list[tuple[int, int]]) -> int:
+    """Fewest acyclic classes covering the vertices, by direct assignment search."""
+    if n == 0:
+        return 0
+    c = 1
+    while not any(
+        all(not dfs_has_cycle(n, arcs, sum(1 << v for v in range(n) if colors[v] == k))
+            for k in range(c))
+        for colors in product(range(c), repeat=n)
+    ):
+        c += 1
+    return c

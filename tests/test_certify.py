@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -73,6 +74,34 @@ def test_enumerate_candidates_are_principal_and_dense():
                 two_e = sum((G.adj[v] & mask).bit_count() for v in iter_bits(mask))
                 if two_e >= d * mask.bit_count():
                     assert mask in seen
+
+
+def test_enumerate_order_under_nonuniform_weights():
+    # by size, then lexicographic in rank positions; certify_orientation
+    # reports the first acyclic set in this order as its violating set
+    rng = random.Random(31)
+    reordered = 0
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        G = Graph(n, edges)
+        w = Weighting(tuple(Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)))
+        t = rng.choice([Fraction(1), Fraction(3, 2), Fraction(2)])
+        d = rng.choice([Fraction(0), Fraction(1), Fraction(2)])
+        ranked = sorted(range(n), key=lambda v: (-w.values[v], v))
+        want = []
+        for k in range(1, n + 1):
+            for positions in combinations(range(n), k):
+                if max(positions) >= math.floor(t * k):
+                    continue
+                W = sum(1 << ranked[p] for p in positions)
+                inside = sum(1 for u, v in edges if (W >> u) & 1 and (W >> v) & 1)
+                if 2 * inside >= d * k:
+                    want.append(W)
+        got = list(enumerate_principal_dense(G, ranked_order(w), t, d))
+        assert got == want
+        reordered += got != sorted(got, key=lambda W: (W.bit_count(), bit_list(W)))
+    assert reordered
 
 
 def test_enumerate_budget_gate():

@@ -1,9 +1,14 @@
 """CLI: parsing, exit codes, determinism, round trips."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import dicolor
 from dicolor.cli import main
 from dicolor.errors import GraphFormatError
 from dicolor.io import (
@@ -182,6 +187,47 @@ def test_bounds_subcommands(capsys):
 def test_bounds_domain_error(capsys):
     code, _, err = run_cli(capsys, "bounds", "kneser-z", "3", "2")
     assert code == 3
+
+
+def test_bounds_with_huge_powers_of_two():
+    # 4 m^2 <= 2^r with r near 4e11 once built 2^r and died of MemoryError;
+    # the address-space limit makes such a regression fail fast
+    src = os.path.dirname(os.path.dirname(dicolor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    for argv in (["kneser-ineq", "80"], ["biclique-cond", "100000000000", "1"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "dicolor.cli", "bounds", *argv], env=env,
+            capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["results"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "binom", "3", "notanint"],
+    ["bounds", "union-bound", "2", "x"],
+    ["construct", "blowup", "GRAPH", "x"],
+    ["compute", "chi"],
+    ["compute", "chi", "GRAPH", "--threads", "2"],
+    ["compute", "chi", "GRAPH", "--seed", "abc"],
+    ["bounds", "nosuchbound"],
+])
+def test_bad_arguments_are_invalid_input(tmp_path, capsys, argv):
+    path = write(tmp_path, "k3.json", K3_JSON)
+    code, out, err = run_cli(capsys, *[path if a == "GRAPH" else a for a in argv])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "invalid-input"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: dicolor" in capsys.readouterr().out
 
 
 def test_construct_embed(capsys):

@@ -21,6 +21,7 @@ from dicolor.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    derive_rng,
     empty_graph,
     orientations,
     path_graph,
@@ -31,6 +32,7 @@ from dicolor.constructions import kneser_graph
 
 from oracles import (
     brute_chromatic,
+    brute_digraph_chromatic,
     digraph_fractional_bruteforce,
     fractional_chromatic_bruteforce,
 )
@@ -92,6 +94,43 @@ def test_dichromatic_mc():
     value, witness = dichromatic_lower_bound_mc(complete_graph(7), trials=512, seed=0)
     assert value == 3
     assert digraph_chromatic_number(witness) == 3
+
+
+def _small_non_forests():
+    rng = random.Random(23)
+    graphs = [complete_graph(4), cycle_graph(4), Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])]
+    while len(graphs) < 12:
+        n = rng.randint(3, 5)
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        if 3 <= len(G.edges) <= 8 and len(G.edges) >= n:
+            graphs.append(G)
+    return graphs
+
+
+def test_dichromatic_exact_witness_is_first_maximum():
+    # the witness is the first counter code reaching the maximum; a search
+    # that kept a later maximum would return another orientation
+    for G in _small_non_forests():
+        values = [brute_digraph_chromatic(G.n, Digraph(G, code).arcs())
+                  for code in range(1 << len(G.edges))]
+        best = max(values)
+        value, witness = dichromatic_number_exact(G)
+        assert value == best
+        assert witness == Digraph(G, values.index(best))
+
+
+def test_dichromatic_mc_witness_is_first_sampled_maximum():
+    later_maximum_seen = False
+    for seed, G in enumerate(_small_non_forests()):
+        trials = (1 << len(G.edges)) // 2 - 1
+        samples = [random_orientation(G, derive_rng(seed, i)) for i in range(trials)]
+        values = [brute_digraph_chromatic(G.n, D.arcs()) for D in samples]
+        best = max(values)
+        value, witness = dichromatic_lower_bound_mc(G, trials=trials, seed=seed)
+        assert value == best
+        assert witness == samples[values.index(best)]
+        later_maximum_seen |= values.index(best) > 0 and values.count(best) > 1
+    assert later_maximum_seen
 
 
 def test_fractional_chromatic_examples():

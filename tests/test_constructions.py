@@ -13,6 +13,7 @@ from dicolor.coloring import (
     fractional_chromatic_with_dual,
 )
 from dicolor.constructions import (
+    _four_m_squared_within,
     BlowUpMap,
     biclique_condition,
     biclique_failure_bound,
@@ -170,6 +171,12 @@ def test_blowup_orientation_transfer():
 def test_biclique_condition_and_bound():
     assert biclique_condition(16, 1)
     assert not biclique_condition(4, 2)
+    # the bit-length test agrees with building 2^r
+    for m in range(1, 300):
+        for k in range(1, 20):
+            assert biclique_condition(m, k) == (4 * m * m <= 1 << -(-m // k))
+        for r in range(0, 40):
+            assert _four_m_squared_within(m, r) == (4 * m * m <= 1 << r)
     assert biclique_failure_bound(8, 2) == 2.0**16  # r = 4, vacuous and reported
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dicolor.errors import ClassificationGapError, InputError
+from dicolor.errors import BudgetExceededError, ClassificationGapError, InputError
 from dicolor.graphs import Graph, complete_graph, cycle_graph, iter_bits, path_graph
 from dicolor.sparse import (
     Weighting,
@@ -159,6 +159,18 @@ def test_find_principal_dense_examples():
     K9 = complete_graph(9)
     got = find_principal_dense(K9, (1 << 9) - 1, Weighting.uniform(9), Fraction(3, 2), 2)
     assert got == 0b000000111
+
+
+def test_find_principal_dense_cap_is_lazy():
+    # the prefix scan misses; the search counts 2 + 3 candidates, finds
+    # {0, 2} among the 2-sets and stops before the 3-sets pass the cap
+    G = Graph(4, [(0, 2)])
+    w = Weighting.uniform(4)
+    assert find_principal_dense(G, 0b111, w, 2, 1, cap=5) == 0b101
+    with pytest.raises(BudgetExceededError):
+        find_principal_dense(G, 0b111, w, 2, 1, cap=4)
+    with pytest.raises(InputError):
+        find_principal_dense(G, 0b10000, w, 2, 1)
 
 
 def test_find_principal_dense_definitional():
