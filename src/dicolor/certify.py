@@ -28,7 +28,7 @@ from .errors import (
     InputError,
     TriesExhaustedError,
 )
-from .families import COLUMN_CAP, maximal_acyclic_sets
+from .families import maximal_acyclic_sets
 from .graphs import Digraph, Graph, derive_rng, is_acyclic, random_orientation
 from .sparse import RankedOrder, Weighting, _principal_dense_sets, ranked_order
 
@@ -52,9 +52,9 @@ class CertifiedOrientation:
     tries: int | None = None
 
 
-def _candidate_total(n: int, t: Fraction, k_max: int) -> int:
+def _candidate_total(n: int, t: Fraction) -> int:
     total = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, n + 1):
         p = min(math.floor(t * k), n)
         if p >= k:
             total += comb(p, k)
@@ -62,14 +62,9 @@ def _candidate_total(n: int, t: Fraction, k_max: int) -> int:
 
 
 def enumerate_principal_dense(
-    G: Graph,
-    order: RankedOrder,
-    t,
-    d,
-    k_max: int | None = None,
-    cap: int = CANDIDATE_CAP,
+    G: Graph, order: RankedOrder, t, d, cap: int = CANDIDATE_CAP
 ) -> Iterator[int]:
-    """Yield every t-principal k-set (k <= k_max) of average degree >= d.
+    """Yield every t-principal vertex set of average degree >= d.
 
     The k-element candidates are exactly the k-subsets of the first
     floor(t*k) vertices; a k-set needs ceil(d*k/2) induced edges, checked
@@ -77,25 +72,18 @@ def enumerate_principal_dense(
     """
     t = Fraction(t)
     d = Fraction(d)
-    n = G.n
-    if k_max is None:
-        k_max = n
-    if k_max > n:
-        raise InputError(f"k_max {k_max} exceeds vertex count {n}")
-    total = _candidate_total(n, t, k_max)
+    total = _candidate_total(G.n, t)
     if total > cap:
         raise BudgetExceededError("principal-dense enumeration", total, cap)
-    return _principal_dense_sets(G, order, t, d, G.full_mask, k_max, cap)
+    return _principal_dense_sets(G, order, t, d, G.full_mask, G.n, cap)
 
 
-def certify_orientation(
-    D: Digraph, order: RankedOrder, t, d, cap: int = CANDIDATE_CAP
-) -> CertifiedOrientation:
+def certify_orientation(D: Digraph, order: RankedOrder, t, d) -> CertifiedOrientation:
     """Check that every principal dense set contains a directed cycle."""
     t = Fraction(t)
     d = Fraction(d)
     checked = 0
-    for W in enumerate_principal_dense(D.graph, order, t, d, cap=cap):
+    for W in enumerate_principal_dense(D.graph, order, t, d):
         checked += 1
         if is_acyclic(D, W):
             return CertifiedOrientation(
@@ -111,7 +99,6 @@ def find_good_orientation(
     d,
     max_tries: int = 64,
     seed: int = 0,
-    cap: int = CANDIDATE_CAP,
 ) -> CertifiedOrientation:
     """Rejection-sample random orientations until one certifies.
 
@@ -124,7 +111,7 @@ def find_good_orientation(
     best: CertifiedOrientation | None = None
     for i in range(1, max_tries + 1):
         D = random_orientation(G, derive_rng(seed, i))
-        cert = replace(certify_orientation(D, order, t, d, cap), tries=i)
+        cert = replace(certify_orientation(D, order, t, d), tries=i)
         if cert.certified:
             return cert
         if best is None or cert.sets_checked > best.sets_checked:
@@ -155,17 +142,19 @@ class BoundReport:
     n: int | None
 
 
-def _bracket_compare(lhs_exp: int, rhs_base_e_power: int, rest: Fraction, strict: bool):
-    """Certified comparison 2**lhs_exp (>= or >) e**rhs_base_e_power * rest.
+def _bracket_compare(lhs_exp: int, e_power: int, t: Fraction, t_power: int, strict: bool):
+    """Certified comparison 2**lhs_exp (>= or >) e**e_power * t**t_power.
 
     Returns True/False when the rational bracket for e decides it, else
-    None.  Exponent guards keep the big integers reasonable.
+    None.  Exponent guards keep the big integers reasonable; t**t_power is
+    built only after them.
     """
-    if abs(lhs_exp) > 4096 or rhs_base_e_power > 512:
+    if abs(lhs_exp) > 4096 or e_power > 512:
         return None
+    rest = t**t_power
     lhs = Fraction(2) ** lhs_exp
-    hi = E_HI**rhs_base_e_power * rest
-    lo = E_LO**rhs_base_e_power * rest
+    hi = E_HI**e_power * rest
+    lo = E_LO**e_power * rest
     if (lhs > hi) or (not strict and lhs >= hi):
         return True
     if (lhs < lo) or (strict and lhs <= lo):
@@ -184,7 +173,7 @@ def hypothesis_t_vs_density(t: Fraction) -> bool:
     if t <= 0:
         raise InputError("t must be positive")
     p, q = t.numerator, t.denominator
-    got = _bracket_compare(p - 2 * q, 4 * q, t ** (8 * q), strict=False)
+    got = _bracket_compare(p - 2 * q, 4 * q, t, 8 * q, strict=False)
     if got is not None:
         return got
     d = 2.0 * math.log2(math.e * float(t) ** 2)
@@ -198,7 +187,7 @@ def hypothesis_strict_scale(t: Fraction) -> bool:
         raise InputError("t must be positive")
     # t > 4 log2(2 e t^2)  <=>  2^p > (2 e t^2)^(4q)  <=>  2^(p-4q) > e^(4q) t^(8q)
     p, q = t.numerator, t.denominator
-    got = _bracket_compare(p - 4 * q, 4 * q, t ** (8 * q), strict=True)
+    got = _bracket_compare(p - 4 * q, 4 * q, t, 8 * q, strict=True)
     if got is not None:
         return got
     return float(t) > 4.0 * math.log2(2.0 * math.e * float(t) ** 2) + FLOAT_TOL
@@ -302,9 +291,6 @@ def cover_bound_certificate(
     weighting: Weighting | None = None,
     max_tries: int = 64,
     seed: int = 0,
-    vertex_budget: int = 20,
-    cap: int = CANDIDATE_CAP,
-    column_cap: int = COLUMN_CAP,
 ) -> CertificateReport:
     """Certify a fractional cover lower bound t/(2d+4) for some orientation.
 
@@ -323,7 +309,7 @@ def cover_bound_certificate(
     if strict:
         if weighting is not None or t is not None or d is not None:
             raise InputError("strict mode derives t, d, and the weighting itself")
-        fractional_value, _, weighting = fractional_chromatic_with_dual(G, vertex_budget)
+        fractional_value, _, weighting = fractional_chromatic_with_dual(G)
         t_eff = fractional_value
         if t_eff <= 0:
             raise InputError("strict mode needs a graph with at least one vertex")
@@ -356,7 +342,7 @@ def cover_bound_certificate(
         t_eff = Fraction(t)
         d_eff = Fraction(d)
         if weighting is None:
-            fractional_value, _, weighting = fractional_chromatic_with_dual(G, vertex_budget)
+            fractional_value, _, weighting = fractional_chromatic_with_dual(G)
             notes.append("weighting taken from the optimal clique weighting")
         hyps = (
             ("t >= 2*(d+1)", t_eff >= 2 * (d_eff + 1)),
@@ -364,9 +350,9 @@ def cover_bound_certificate(
             ("weight total equals t", weighting.total == t_eff),
         )
     order = ranked_order(weighting)
-    cert = find_good_orientation(G, order, t_eff, d_eff, max_tries=max_tries, seed=seed, cap=cap)
+    cert = find_good_orientation(G, order, t_eff, d_eff, max_tries=max_tries, seed=seed)
     w_max = Fraction(0)
-    for mask in maximal_acyclic_sets(cert.digraph, cap=column_cap):
+    for mask in maximal_acyclic_sets(cert.digraph):
         wm = weighting.of(mask)
         if wm > w_max:
             w_max = wm

@@ -24,6 +24,7 @@ from .errors import (
     HypothesesNotMetError,
     InputError,
     TriesExhaustedError,
+    format_count,
 )
 from .graphs import Graph, bit_list, complete_graph
 from .io import build_digraph, build_graph, format_fraction, graph_to_dict, load_graph_file, parse_fraction
@@ -113,23 +114,20 @@ def _load_graph(path: str) -> tuple[Graph, Weighting | None]:
 def _run_compute(args) -> tuple[dict, int]:
     results: dict = {}
     verdicts: dict = {}
-    budget = args.budget
+    vertex_kw = {"vertex_budget": args.budget} if args.budget else {}
+    edge_kw = {"edge_budget": args.budget} if args.budget else {}
     if args.invariant in ("digraph-chi", "digraph-chif"):
         D, _ = build_digraph(load_graph_file(args.file))
         if args.invariant == "digraph-chi":
-            kw = {"vertex_budget": budget} if budget else {}
-            results["digraph_chi"] = coloring.digraph_chromatic_number(D, **kw)
+            results["digraph_chi"] = coloring.digraph_chromatic_number(D, **vertex_kw)
         else:
-            kw = {"vertex_budget": budget} if budget else {}
-            results["digraph_chif"] = coloring.digraph_fractional_chromatic(D, **kw)
+            results["digraph_chif"] = coloring.digraph_fractional_chromatic(D, **vertex_kw)
         return {"results": results, "verdicts": verdicts}, EXIT_OK
     G, _ = _load_graph(args.file)
     if args.invariant == "chi":
-        kw = {"vertex_budget": budget} if budget else {}
-        results["chi"] = coloring.chromatic_number(G, **kw)
+        results["chi"] = coloring.chromatic_number(G, **vertex_kw)
     elif args.invariant == "chif":
-        kw = {"vertex_budget": budget} if budget else {}
-        value, cover, dual = coloring.fractional_chromatic_with_dual(G, **kw)
+        value, cover, dual = coloring.fractional_chromatic_with_dual(G, **vertex_kw)
         results["chif"] = value
         results["cover"] = [
             {"set": bit_list(mask), "weight": w} for mask, w in cover.parts
@@ -138,24 +136,21 @@ def _run_compute(args) -> tuple[dict, int]:
         results["dual_total"] = dual.total
         verdicts["strong_duality"] = dual.total == value
     elif args.invariant == "alphaf":
-        kw = {"vertex_budget": budget} if budget else {}
-        value, weighting = coloring.fractional_independence(G, **kw)
+        value, weighting = coloring.fractional_independence(G, **vertex_kw)
         results["alphaf"] = value
         results["weighting"] = list(weighting)
     elif args.invariant == "dichi":
         if args.mode == "exact":
-            kw = {"edge_budget": budget} if budget else {}
-            value, witness = coloring.dichromatic_number_exact(G, **kw)
+            value, witness = coloring.dichromatic_number_exact(G, **edge_kw)
             results["dichi"] = value
         else:
             value, witness = coloring.dichromatic_lower_bound_mc(G, trials=args.trials, seed=args.seed)
             results["dichi_lower_bound"] = value
         results["witness_arcs"] = witness.arcs() if witness is not None else None
     elif args.invariant == "dichif":
-        mode = "exact" if args.mode == "exact" else "sampled"
-        kw = {"edge_budget": budget} if budget else {}
+        trials = args.trials if args.mode == "mc" else None
         results["dichif"] = coloring.fractional_dichromatic(
-            G, mode=mode, trials=args.trials, seed=args.seed, **kw
+            G, trials=trials, seed=args.seed, **edge_kw
         )
     return {"results": results, "verdicts": verdicts}, EXIT_OK
 
@@ -225,10 +220,10 @@ def _int_args(args: list[str], want: int, what: str) -> list[int]:
 
 
 def _run_construct(args) -> tuple[dict, int]:
+    vertex_kw = {"vertex_budget": args.budget} if args.budget else {}
     if args.what == "kneser":
         n, k = _int_args(args.args, 2, "construct kneser")
-        kw = {"vertex_budget": args.budget} if args.budget else {}
-        G = constructions.kneser_graph(n, k, **kw)
+        G = constructions.kneser_graph(n, k, **vertex_kw)
         payload = graph_to_dict(G)
     elif args.what == "complete":
         (n,) = _int_args(args.args, 1, "construct complete")
@@ -238,8 +233,7 @@ def _run_construct(args) -> tuple[dict, int]:
             raise InputError("construct blowup expects FILE m")
         G, _ = _load_graph(args.args[0])
         (m,) = _int_args(args.args[1:], 1, "construct blowup power")
-        kw = {"vertex_budget": args.budget} if args.budget else {}
-        blown, _ = constructions.blow_up(G, m, **kw)
+        blown, _ = constructions.blow_up(G, m, **vertex_kw)
         payload = graph_to_dict(blown)
     else:
         n, k, t, x = _int_args(args.args, 4, "construct embed")
@@ -352,7 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("tries-exhausted", str(exc), {"tries": exc.tries})
         return EXIT_FAILURE
     except BudgetExceededError as exc:
-        _emit_error("budget-exceeded", str(exc), {"needed": str(exc.needed), "limit": str(exc.limit)})
+        sizes = {"needed": format_count(exc.needed), "limit": format_count(exc.limit)}
+        _emit_error("budget-exceeded", str(exc), sizes)
         return EXIT_BUDGET
     except (GraphFormatError, InputError, FileNotFoundError) as exc:
         _emit_error("invalid-input", str(exc), {})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DicolorError, InputError
-from .families import COLUMN_CAP, maximal_acyclic_sets, maximal_independent_sets
+from .families import maximal_acyclic_sets, maximal_independent_sets
 from .graphs import (
     Digraph,
     Graph,
@@ -97,8 +97,30 @@ def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) 
     )
 
 
-def _best_orientation(digraphs, value) -> tuple:
-    """Largest ``value(D)`` over ``digraphs`` with the first D reaching it."""
+def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budget: int) -> tuple:
+    """Largest ``value(D)`` over orientations D of G, with the first D reaching it.
+
+    With ``trials`` None all 2^e orientations are enumerated as binary
+    counters, gated by ``edge_budget``; otherwise the orientations are the
+    seeded samples ``derive_rng(seed, i)`` for ``i < trials``.  The empty
+    graph gives 0, and every orientation of a forest is acyclic, so forests
+    short-circuit to 1.
+    """
+    if trials is not None and trials < 1:
+        raise InputError("need at least one trial")
+    if G.n == 0:
+        return 0, Digraph(G, 0)
+    if is_forest(G):
+        return 1, Digraph(G, 0)
+    if trials is None:
+        m = len(G.edges)
+        if m > edge_budget:
+            raise BudgetExceededError(
+                "orientation enumeration (or sample: --mode mc / trials=N)", 2**m, 2**edge_budget
+            )
+        digraphs = orientations(G)
+    else:
+        digraphs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
     best = 0
     witness = None
     for D in digraphs:
@@ -109,54 +131,25 @@ def _best_orientation(digraphs, value) -> tuple:
     return best, witness
 
 
-def dichromatic_number_exact(
-    G: Graph,
-    edge_budget: int = ORIENT_EDGE_BUDGET,
-    vertex_budget: int = DP_VERTEX_BUDGET,
-) -> tuple[int, Digraph]:
+def dichromatic_number_exact(G: Graph, edge_budget: int = ORIENT_EDGE_BUDGET) -> tuple[int, Digraph]:
     """Exact dichromatic number with a maximizing orientation.
 
-    Every orientation of a forest is acyclic, so forests short-circuit to
-    1.  Otherwise all 2^e orientations are enumerated as binary counters;
-    raise the budget or fall back to :func:`dichromatic_lower_bound_mc`
-    beyond ``edge_budget`` edges.
+    All 2^e orientations are enumerated as binary counters; raise the
+    budget or fall back to :func:`dichromatic_lower_bound_mc` beyond
+    ``edge_budget`` edges.
     """
-    if G.n == 0:
-        return 0, Digraph(G, 0)
-    if is_forest(G):
-        return 1, Digraph(G, 0)
-    m = len(G.edges)
-    if m > edge_budget:
-        raise BudgetExceededError(
-            "orientation enumeration (use dichromatic_lower_bound_mc)", 2**m, 2**edge_budget
-        )
-    return _best_orientation(orientations(G), lambda D: digraph_chromatic_number(D, vertex_budget))
+    return _best_orientation(G, digraph_chromatic_number, None, 0, edge_budget)
 
 
-def dichromatic_lower_bound_mc(
-    G: Graph,
-    trials: int,
-    seed: int = 0,
-    vertex_budget: int = DP_VERTEX_BUDGET,
-) -> tuple[int, Digraph]:
+def dichromatic_lower_bound_mc(G: Graph, trials: int, seed: int = 0) -> tuple[int, Digraph]:
     """Best digraph chromatic number over sampled orientations.
 
     The result is a certified lower bound on the dichromatic number.  If
     2^e <= trials the search is exhaustive and the bound is exact.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
-    if G.n > vertex_budget:
-        raise BudgetExceededError("digraph-chromatic DP", G.n, vertex_budget)
-    if G.n == 0:
-        return 0, Digraph(G, 0)
-    if is_forest(G):
-        return 1, Digraph(G, 0)
     m = len(G.edges)
-    if (1 << m) <= trials:
-        return dichromatic_number_exact(G, edge_budget=m, vertex_budget=vertex_budget)
-    samples = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
-    return _best_orientation(samples, lambda D: digraph_chromatic_number(D, vertex_budget))
+    exhaustive = trials >= 1 and m < trials.bit_length()
+    return _best_orientation(G, digraph_chromatic_number, None if exhaustive else trials, seed, m)
 
 
 def _solve_cover_lp(
@@ -217,51 +210,31 @@ def fractional_chromatic_with_dual(
     return _solve_cover_lp(G.n, columns)
 
 
-def digraph_fractional_chromatic(
-    D: Digraph, vertex_budget: int = LP_VERTEX_BUDGET, column_cap: int = COLUMN_CAP
-) -> Fraction:
+def digraph_fractional_chromatic(D: Digraph, vertex_budget: int = LP_VERTEX_BUDGET) -> Fraction:
     """Exact fractional chromatic number of a digraph (acyclic columns)."""
     n = D.graph.n
     if n > vertex_budget:
         raise BudgetExceededError("digraph fractional LP", n, vertex_budget)
     if n == 0:
         return Fraction(0)
-    columns = maximal_acyclic_sets(D, cap=column_cap)
-    value, _, _ = _solve_cover_lp(n, columns)
+    value, _, _ = _solve_cover_lp(n, maximal_acyclic_sets(D))
     return value
 
 
 def fractional_dichromatic(
     G: Graph,
-    mode: str = "exact",
     trials: int | None = None,
     seed: int = 0,
     edge_budget: int = ORIENT_EDGE_BUDGET,
-    vertex_budget: int = LP_VERTEX_BUDGET,
 ) -> Fraction:
     """Fractional dichromatic number.
 
-    ``exact`` maximizes over all orientations (edge budget applies);
-    ``sampled`` maximizes over ``trials`` random orientations and returns a
-    certified lower bound.
+    Without ``trials`` it maximizes over all orientations (edge budget
+    applies); with ``trials`` it maximizes over that many seeded random
+    orientations and returns a certified lower bound.
     """
-    if G.n == 0:
-        return Fraction(0)
-    if is_forest(G):
-        return Fraction(1)
-    m = len(G.edges)
-    if mode == "exact":
-        if m > edge_budget:
-            raise BudgetExceededError("orientation enumeration", 2**m, 2**edge_budget)
-        digs = orientations(G)
-    elif mode == "sampled":
-        if not trials or trials < 1:
-            raise InputError("sampled mode needs trials >= 1")
-        digs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
-    else:
-        raise InputError(f"unknown mode {mode!r}")
-    best, _ = _best_orientation(digs, lambda D: digraph_fractional_chromatic(D, vertex_budget))
-    return best
+    best, _ = _best_orientation(G, digraph_fractional_chromatic, trials, seed, edge_budget)
+    return Fraction(best)
 
 
 def fractional_independence(

@@ -31,6 +31,8 @@ from .graphs import (
 
 CONSTRUCT_VERTEX_BUDGET = 4096
 SUBSET_CAP = 1 << 24
+KNESER_BOUND_BITS = 1 << 21
+KNESER_INEQ_K_BUDGET = 1 << 18
 
 
 def kneser_vertex_sets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -295,8 +297,6 @@ def orient_blowup_bicliques(
     k: int,
     max_tries: int = 256,
     seed: int = 0,
-    vertex_budget: int = CONSTRUCT_VERTEX_BUDGET,
-    cap: int = SUBSET_CAP,
 ) -> BlowupOrientationReport:
     """Find an orientation of the blow-up with every r x r biclique cyclic.
 
@@ -304,14 +304,14 @@ def orient_blowup_bicliques(
     failure bound are reported, not enforced; rejection sampling is
     attempted regardless.
     """
-    G, bmap = blow_up(H, m, vertex_budget)
+    G, bmap = blow_up(H, m)
     r = -(-m // k)
     cond = biclique_condition(m, k)
     bound = biclique_failure_bound(m, k)
     best = None
     for i in range(1, max_tries + 1):
         D = random_orientation(G, derive_rng(seed, i))
-        ok, counter = bicliques_all_cyclic(D, bmap, k, cap)
+        ok, counter = bicliques_all_cyclic(D, bmap, k)
         if ok:
             return BlowupOrientationReport(
                 digraph=D, bmap=bmap, m=m, k=k, r=r, tries=i,
@@ -370,7 +370,6 @@ def orient_complete_blowup(
     t_override: int | None = None,
     max_tries: int = 256,
     seed: int = 0,
-    subset_cap: int = SUBSET_CAP,
     graph: Graph | None = None,
 ) -> CompleteBlowupReport:
     """Orient the blow-up of K_n with power k so every t-subset is cyclic.
@@ -403,8 +402,8 @@ def orient_complete_blowup(
             tries=0, subsets_checked=0, coloring_bound=Fraction(nk, t - 1),
         )
     total = comb(nk, t)
-    if total > subset_cap:
-        raise BudgetExceededError("t-subset scan", total, subset_cap)
+    if total > SUBSET_CAP:
+        raise BudgetExceededError("t-subset scan", total, SUBSET_CAP)
     masks = [mask_of(c) for c in combinations(range(nk), t)]
     for i in range(1, max_tries + 1):
         D = random_orientation(G, derive_rng(seed, i))
@@ -440,7 +439,14 @@ def kneser_lower_bound(n: int, k: int) -> int:
     if k < 1 or n < 2 * k:
         raise InputError("needs n >= 2k >= 2")
     num = n - 2 * k + 2
-    z = math.floor(num / (8.0 * math.log2(n / k)))
+    # n^(8(z+1)) is the largest integer below; k^(8z) << num alone has more
+    # than num bits, so a large num is refused before it reaches a float
+    bits = num
+    if num <= KNESER_BOUND_BITS:
+        z = math.floor(num / (8.0 * math.log2(n / k)))
+        bits = 8 * (z + 1) * n.bit_length()
+    if bits > KNESER_BOUND_BITS:
+        raise BudgetExceededError("Kneser bound integers (bits)", bits, KNESER_BOUND_BITS)
 
     def le_floor(zz: int) -> bool:
         # zz <= num / (8 log2(n/k))  <=>  n^(8 zz) <= k^(8 zz) * 2^num
@@ -465,6 +471,9 @@ def kneser_recursion_inequalities(k: int) -> dict[str, bool]:
     """
     if k < 8:
         raise InputError("the inequality families are stated for k >= 8")
+    if k > KNESER_INEQ_K_BUDGET:
+        # C(2r, x) and 2^((k-4)/2) have about k bits
+        raise BudgetExceededError("Kneser recursion inequalities (k)", k, KNESER_INEQ_K_BUDGET)
     r = k // 2
     x = r if k % 2 == 0 else r - 1
     m1 = comb(2 * r, x)

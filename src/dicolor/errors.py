@@ -28,11 +28,23 @@ class GraphFormatError(InputError):
         self.column = column
 
 
+def format_count(x: int) -> str:
+    """Decimal up to 2^64; beyond it ``2^k`` for a power of two, else ``>2^k``.
+
+    Budget sizes such as 2^e or C(n, k) can pass Python's limit on the
+    digits of an int-to-str conversion, so they are never printed in full.
+    """
+    if x <= 1 << 64:
+        return str(x)
+    k = x.bit_length() - 1
+    return f"2^{k}" if x & (x - 1) == 0 else f">2^{k}"
+
+
 class BudgetExceededError(DicolorError):
     """An enumeration would exceed its configured budget."""
 
-    def __init__(self, what: str, needed, limit):
-        super().__init__(f"{what}: needs {needed}, budget is {limit}")
+    def __init__(self, what: str, needed: int, limit: int):
+        super().__init__(f"{what}: needs {format_count(needed)}, budget is {format_count(limit)}")
         self.what = what
         self.needed = needed
         self.limit = limit

@@ -183,24 +183,20 @@ class Digraph:
     oriented ``u -> v``, otherwise ``v -> u``.
     """
 
-    __slots__ = ("graph", "bits", "out_masks", "in_masks")
+    __slots__ = ("graph", "bits", "in_masks")
 
     def __init__(self, graph: Graph, bits: int):
         m = len(graph.edges)
         if not (0 <= bits < (1 << m) if m else bits == 0):
             raise InputError(f"orientation code {bits} out of range for {m} edges")
-        out = [0] * graph.n
         inc = [0] * graph.n
         for i, (u, v) in enumerate(graph.edges):
             if (bits >> i) & 1:
-                out[u] |= 1 << v
                 inc[v] |= 1 << u
             else:
-                out[v] |= 1 << u
                 inc[u] |= 1 << v
         self.graph = graph
         self.bits = bits
-        self.out_masks = tuple(out)
         self.in_masks = tuple(inc)
 
     @classmethod
@@ -228,7 +224,8 @@ class Digraph:
         return out
 
     def out_degree(self, v: int) -> int:
-        return self.out_masks[v].bit_count()
+        # each edge at v is either an in-arc or an out-arc
+        return self.graph.degree(v) - self.in_masks[v].bit_count()
 
     def reverse(self) -> "Digraph":
         m = len(self.graph.edges)
@@ -293,11 +290,11 @@ def orientations(G: Graph) -> Iterator[Digraph]:
         yield Digraph(G, code)
 
 
-def count_acyclic_orientations(G: Graph, edge_budget: int = ENUM_EDGE_BUDGET) -> int:
+def count_acyclic_orientations(G: Graph) -> int:
     """Exact number of acyclic orientations by full enumeration."""
     m = len(G.edges)
-    if m > edge_budget:
-        raise BudgetExceededError("orientation enumeration", 2**m, 2**edge_budget)
+    if m > ENUM_EDGE_BUDGET:
+        raise BudgetExceededError("orientation enumeration", 2**m, 2**ENUM_EDGE_BUDGET)
     count = 0
     for D in orientations(G):
         if is_acyclic(D):
@@ -305,7 +302,7 @@ def count_acyclic_orientations(G: Graph, edge_budget: int = ENUM_EDGE_BUDGET) ->
     return count
 
 
-def count_acyclic_orientations_fast(G: Graph, vertex_budget: int = ACYCLIC_COUNT_VERTEX_BUDGET) -> int:
+def count_acyclic_orientations_fast(G: Graph) -> int:
     """Exact acyclic-orientation count via source-set inclusion-exclusion.
 
     Every acyclic orientation of G[S] with all vertices of an independent
@@ -314,8 +311,8 @@ def count_acyclic_orientations_fast(G: Graph, vertex_budget: int = ACYCLIC_COUNT
     Cross-checked against :func:`count_acyclic_orientations` in the tests.
     """
     n = G.n
-    if n > vertex_budget:
-        raise BudgetExceededError("acyclic-count DP", 2**n, 2**vertex_budget)
+    if n > ACYCLIC_COUNT_VERTEX_BUDGET:
+        raise BudgetExceededError("acyclic-count DP", 2**n, 2**ACYCLIC_COUNT_VERTEX_BUDGET)
     if n == 0:
         return 1
     adj = G.adj

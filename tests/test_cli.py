@@ -10,7 +10,7 @@ import pytest
 
 import dicolor
 from dicolor.cli import main
-from dicolor.errors import GraphFormatError
+from dicolor.errors import GraphFormatError, format_count
 from dicolor.io import (
     build_digraph,
     build_graph,
@@ -19,7 +19,7 @@ from dicolor.io import (
     parse_fraction,
     parse_graph_text,
 )
-from dicolor.graphs import complete_graph
+from dicolor.graphs import complete_graph, path_graph
 from dicolor.sparse import Weighting
 from fractions import Fraction
 
@@ -189,22 +189,75 @@ def test_bounds_domain_error(capsys):
     assert code == 3
 
 
-def test_bounds_with_huge_powers_of_two():
-    # 4 m^2 <= 2^r with r near 4e11 once built 2^r and died of MemoryError;
-    # the address-space limit makes such a regression fail fast
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_cli_process(*argv):
+    """The CLI in a child process, under a 2 GB address-space limit and a 30 s
+    timeout, so a hang, a MemoryError or a traceback fails the test fast."""
     src = os.path.dirname(os.path.dirname(dicolor.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "dicolor.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+    )
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
+def test_bounds_with_huge_powers_of_two():
+    # 4 m^2 <= 2^r with r near 4e11 once built 2^r and died of MemoryError
     for argv in (["kneser-ineq", "80"], ["biclique-cond", "100000000000", "1"]):
-        done = subprocess.run(
-            [sys.executable, "-m", "dicolor.cli", "bounds", *argv], env=env,
-            capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
-        )
+        done = run_cli_process("bounds", *argv)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["results"]
+
+
+def test_union_bound_with_large_denominator_ends():
+    # t^(8q) with q = 10^7 was built before the bracket's exponent guard
+    done = run_cli_process("bounds", "union-bound", "600000001/10000000", "3")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["hypothesis_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "kneser-ineq", "100000000"],
+    ["bounds", "kneser-z", "1000000000000000000000", "2"],
+    ["bounds", "kneser-z", "1" + "0" * 400, "2"],
+    ["construct", "kneser", "100000", "50000"],
+    ["compute", "dichi", "K200"],
+    ["compute", "dichif", "K200"],
+])
+def test_huge_sizes_are_budget_errors(tmp_path, argv):
+    # 2^19900 and C(100000, 50000) pass Python's int-to-str digit limit, and
+    # the Kneser bounds once built integers of about n bits before any guard
+    k200 = write(tmp_path, "k200.json", json.dumps(graph_to_dict(complete_graph(200))))
+    done = run_cli_process(*[k200 if a == "K200" else a for a in argv])
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert json.loads(done.stderr)["error"]["kind"] == "budget-exceeded"
+
+
+def test_format_count():
+    assert format_count(0) == "0"
+    assert format_count(2**64) == str(2**64)
+    assert format_count(2**64 + 1) == ">2^64"
+    assert format_count(2**19900) == "2^19900"
+    assert format_count(3 * 2**20000) == ">2^20001"
+
+
+def test_sampled_dichif_on_a_forest_needs_a_trial(tmp_path, capsys):
+    # the forest shortcut used to answer "1/1" before the trials check
+    path = write(tmp_path, "p4.json", json.dumps(graph_to_dict(path_graph(4))))
+    code, out, err = run_cli(capsys, "compute", "dichif", path, "--mode", "mc", "--trials", "0")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "invalid-input"
+
+
+def test_sampled_dichi_on_a_large_forest_is_one(tmp_path, capsys):
+    # past the 24-vertex DP budget a forest still answers 1, as in exact mode
+    path = write(tmp_path, "p30.json", json.dumps(graph_to_dict(path_graph(30))))
+    for mode, key in (("exact", "dichi"), ("mc", "dichi_lower_bound")):
+        code, out, _ = run_cli(capsys, "compute", "dichi", path, "--mode", mode)
+        assert code == 0 and json.loads(out)["results"][key] == 1
 
 
 @pytest.mark.parametrize("argv", [

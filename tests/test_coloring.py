@@ -15,7 +15,7 @@ from dicolor.coloring import (
     fractional_dichromatic,
     fractional_independence,
 )
-from dicolor.errors import BudgetExceededError
+from dicolor.errors import BudgetExceededError, InputError
 from dicolor.graphs import (
     Digraph,
     Graph,
@@ -185,7 +185,7 @@ def test_fractional_dichromatic_examples():
     assert fractional_dichromatic(path_graph(4)) == 1
     assert fractional_dichromatic(complete_graph(3)) == Fraction(3, 2)
     assert fractional_dichromatic(cycle_graph(4)) == Fraction(4, 3)
-    sampled = fractional_dichromatic(complete_graph(3), mode="sampled", trials=16, seed=4)
+    sampled = fractional_dichromatic(complete_graph(3), trials=16, seed=4)
     assert sampled <= Fraction(3, 2)
 
 
@@ -200,6 +200,36 @@ def test_fractional_dichromatic_dominates_each_orientation():
         best = fractional_dichromatic(G)
         for D in orientations(G):
             assert digraph_fractional_chromatic(D) <= best
+
+
+def test_orientation_search_edges_agree():
+    # one search serves dichi and dichif: same trials check, same shortcuts,
+    # same edge gate
+    for search in (
+        lambda G, trials: dichromatic_lower_bound_mc(G, trials=trials),
+        lambda G, trials: fractional_dichromatic(G, trials=trials),
+    ):
+        for G in (path_graph(4), complete_graph(3)):
+            with pytest.raises(InputError):
+                search(G, 0)
+    gates = []
+    for search in (dichromatic_number_exact, fractional_dichromatic):
+        with pytest.raises(BudgetExceededError) as exc:
+            search(complete_graph(7))
+        gates.append((exc.value.what, exc.value.needed, exc.value.limit))
+    assert gates[0] == gates[1] == (gates[0][0], 2**21, 2**20)
+    # past the 24-vertex DP budget a non-forest is still refused when sampled
+    with pytest.raises(BudgetExceededError):
+        dichromatic_lower_bound_mc(complete_graph(25), trials=4)
+
+
+def test_dichromatic_mc_exhaustive_exactly_when_trials_cover_all_codes():
+    for G in _small_non_forests():
+        m = len(G.edges)
+        assert dichromatic_lower_bound_mc(G, trials=1 << m, seed=3) == dichromatic_number_exact(G)
+        value, witness = dichromatic_lower_bound_mc(G, trials=(1 << m) - 1, seed=3)
+        samples = [random_orientation(G, derive_rng(3, i)) for i in range((1 << m) - 1)]
+        assert witness == next(D for D in samples if digraph_chromatic_number(D) == value)
 
 
 def test_fractional_independence_examples():

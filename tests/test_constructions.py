@@ -14,6 +14,7 @@ from dicolor.coloring import (
 )
 from dicolor.constructions import (
     _four_m_squared_within,
+    KNESER_INEQ_K_BUDGET,
     BlowUpMap,
     biclique_condition,
     biclique_failure_bound,
@@ -219,6 +220,8 @@ def test_bound_evaluators():
     assert kneser_lower_bound(200, 2) == 3
     assert kneser_lower_bound(48, 2) == 1
     assert kneser_lower_bound(4, 2) == 0
+    # a huge n with a small n - 2k + 2 stays inside the integer-size gate
+    assert kneser_lower_bound(10**400, 5 * 10**399 - 3) == 0
     with pytest.raises(InputError):
         kneser_lower_bound(3, 2)
     with pytest.raises(InputError):
@@ -251,3 +254,5 @@ def test_kneser_recursion_inequalities():
         assert got["small_power"], f"second family fails at k={k}"
     with pytest.raises(InputError):
         kneser_recursion_inequalities(7)
+    with pytest.raises(BudgetExceededError):
+        kneser_recursion_inequalities(KNESER_INEQ_K_BUDGET + 1)
