@@ -24,7 +24,7 @@ from .graphs import (
     random_orientation,
 )
 from .simplex import simplex_max
-from .sparse import Weighting
+from .sparse import Weighting, degeneracy_coloring
 
 DP_VERTEX_BUDGET = 24
 LP_VERTEX_BUDGET = 20
@@ -105,6 +105,17 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     seeded samples ``derive_rng(seed, i)`` for ``i < trials``.  The empty
     graph gives 0, and every orientation of a forest is acyclic, so forests
     short-circuit to 1.
+
+    The search stops as soon as the best value reaches ``k // 2 + 1``,
+    where k is the degeneracy of G, because no orientation D exceeds it:
+    colour D greedily along a degeneracy order, where every vertex v has at
+    most k earlier neighbours.  A colour is barred at v only if v has both
+    an in-neighbour and an out-neighbour of that colour among them, since
+    otherwise v closes no directed cycle in its class; barring all
+    ``k // 2 + 1`` colours would take ``2 (k // 2 + 1) > k`` earlier
+    neighbours.  So chi(D) <= k // 2 + 1, and chi_f(D) <= chi(D).  Every
+    value seen before the stop is below the bound, so the witness is still
+    the first orientation reaching the maximum.
     """
     if trials is not None and trials < 1:
         raise InputError("need at least one trial")
@@ -121,6 +132,8 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
         digraphs = orientations(G)
     else:
         digraphs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
+    k, _ = degeneracy_coloring(G)
+    bound = k // 2 + 1
     best = 0
     witness = None
     for D in digraphs:
@@ -128,6 +141,8 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
         if c > best:
             best = c
             witness = D
+            if best >= bound:
+                break
     return best, witness
 
 
