@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import BudgetExceededError, DicolorError, InputError
 from .families import maximal_acyclic_sets, maximal_independent_sets
@@ -100,11 +101,12 @@ def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) 
 def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budget: int) -> tuple:
     """Largest ``value(D)`` over orientations D of G, with the first D reaching it.
 
-    With ``trials`` None all 2^e orientations are enumerated as binary
-    counters, gated by ``edge_budget``; otherwise the orientations are the
-    seeded samples ``derive_rng(seed, i)`` for ``i < trials``.  The empty
-    graph gives 0, and every orientation of a forest is acyclic, so forests
-    short-circuit to 1.
+    With ``trials`` None the orientations are enumerated as binary
+    counters, gated by ``edge_budget``; only the codes below 2^(e-1) are
+    visited, since reversing every arc keeps the value.  Otherwise the
+    orientations are the seeded samples ``derive_rng(seed, i)`` for
+    ``i < trials``.  The empty graph gives 0, and every orientation of a
+    forest is acyclic, so forests short-circuit to 1.
 
     The search stops as soon as the best value reaches ``k // 2 + 1``,
     where k is the degeneracy of G, because no orientation D exceeds it:
@@ -129,7 +131,10 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
             raise BudgetExceededError(
                 "orientation enumeration (or sample: --mode mc / trials=N)", 2**m, 2**edge_budget
             )
-        digraphs = orientations(G)
+        # D and its reverse have the same acyclic sets, so the same value,
+        # and of the codes c and c ^ (2^e - 1) the one below 2^(e-1) comes
+        # first: the first maximum lies in the lower half of the codes
+        digraphs = islice(orientations(G), 1 << (m - 1))
     else:
         digraphs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
     k, _ = degeneracy_coloring(G)
@@ -149,9 +154,9 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
 def dichromatic_number_exact(G: Graph, edge_budget: int = ORIENT_EDGE_BUDGET) -> tuple[int, Digraph]:
     """Exact dichromatic number with a maximizing orientation.
 
-    All 2^e orientations are enumerated as binary counters; raise the
-    budget or fall back to :func:`dichromatic_lower_bound_mc` beyond
-    ``edge_budget`` edges.
+    Orientations are enumerated as binary counters (the codes below
+    2^(e-1) suffice, by reversal symmetry); raise the budget or fall back
+    to :func:`dichromatic_lower_bound_mc` beyond ``edge_budget`` edges.
     """
     return _best_orientation(G, digraph_chromatic_number, None, 0, edge_budget)
 
