@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InputError
-from .graphs import Digraph, Graph, is_acyclic, iter_bits
+from .graphs import Digraph, Graph, iter_bits
+from .graphs import is_acyclic  # noqa: F401  (still bound here; perfbench's tracer test looks it up)
 
 COLUMN_CAP = 1 << 20
 
@@ -79,27 +80,44 @@ def maximal_acyclic_sets(
     if S == 0:
         return [0]
     out: list[int] = []
+    in_masks = D.in_masks
+    adj = D.graph.adj
+
+    def extends(A: int, v: int) -> bool:
+        # A is acyclic, so a cycle of A + v runs v -> o ~> i -> v with o and
+        # i in A: look for an out-neighbour o among the vertices of A that
+        # reach an in-neighbour of v inside A
+        outs = adj[v] & A & ~in_masks[v]
+        reach = frontier = in_masks[v] & A
+        while frontier and not reach & outs:
+            preds = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                preds |= in_masks[low.bit_length() - 1]
+            frontier = preds & A & ~reach
+            reach |= frontier
+        return not reach & outs
 
     def rec(A: int, cand: int, excl: int) -> None:
-        # invariant: every vertex of cand individually extends A; excl may
-        # hold stale non-extenders (staleness is monotone, so a final check
-        # at the leaf suffices)
+        # invariants: A is acyclic and every vertex of cand individually
+        # extends A; excl may hold stale non-extenders (staleness is
+        # monotone, so a final check at the leaf suffices)
         if not cand:
-            if all(not is_acyclic(D, A | (1 << v)) for v in iter_bits(excl)):
+            if not any(extends(A, v) for v in iter_bits(excl)):
                 if len(out) >= cap:
                     raise BudgetExceededError("maximal acyclic sets", len(out) + 1, cap)
                 out.append(A)
             return
         low = cand & -cand
-        u = low.bit_length() - 1
         with_u = A | low
         new_cand = 0
         for v in iter_bits(cand ^ low):
-            if is_acyclic(D, with_u | (1 << v)):
+            if extends(with_u, v):
                 new_cand |= 1 << v
         new_excl = 0
         for v in iter_bits(excl):
-            if is_acyclic(D, with_u | (1 << v)):
+            if extends(with_u, v):
                 new_excl |= 1 << v
         rec(with_u, new_cand, new_excl)
         rec(A, cand ^ low, excl | low)
