@@ -251,9 +251,22 @@ def fractional_dichromatic(
 
     Without ``trials`` it maximizes over all orientations (edge budget
     applies); with ``trials`` it maximizes over that many seeded random
-    orientations and returns a certified lower bound.
+    orientations and returns a certified lower bound.  The LP value depends
+    only on the family of maximal acyclic sets, and many orientations share
+    one, so each distinct family is solved once.
     """
-    best, _ = _best_orientation(G, digraph_fractional_chromatic, trials, seed, edge_budget)
+    values: dict[tuple[int, ...], Fraction] = {}
+
+    def value(D: Digraph) -> Fraction:
+        # forests never get here, so the LP gate does not refuse them
+        if G.n > LP_VERTEX_BUDGET:
+            raise BudgetExceededError("digraph fractional LP", G.n, LP_VERTEX_BUDGET)
+        columns = tuple(sorted(maximal_acyclic_sets(D)))
+        if columns not in values:
+            values[columns] = _solve_cover_lp(G.n, list(columns))[0]
+        return values[columns]
+
+    best, _ = _best_orientation(G, value, trials, seed, edge_budget)
     return Fraction(best)
 
 
