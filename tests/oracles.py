@@ -99,9 +99,12 @@ def dfs_has_cycle(n: int, arcs: list[tuple[int, int]], within: int) -> bool:
     return False
 
 
-def brute_maximal_acyclic_sets(n: int, arcs: list[tuple[int, int]]) -> set[int]:
-    full = (1 << n) - 1
-    acyc = [m for m in range(1 << n) if not dfs_has_cycle(n, arcs, m)]
+def brute_maximal_acyclic_sets(
+    n: int, arcs: list[tuple[int, int]], within: int | None = None
+) -> set[int]:
+    """Maximal acyclic subsets of ``within`` (default: all n vertices)."""
+    full = (1 << n) - 1 if within is None else within
+    acyc = [m for m in range(1 << n) if not m & ~full and not dfs_has_cycle(n, arcs, m)]
     acyc_set = set(acyc)
     out = set()
     for m in acyc:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dicolor.coloring import (
     chromatic_number,
@@ -23,16 +24,19 @@ from dicolor.graphs import (
     cycle_graph,
     derive_rng,
     empty_graph,
+    is_forest,
     orientations,
     path_graph,
     random_orientation,
     star_graph,
 )
 from dicolor.constructions import kneser_graph
+from dicolor.sparse import degeneracy_coloring
 
 from oracles import (
     brute_chromatic,
     brute_digraph_chromatic,
+    dfs_has_cycle,
     digraph_fractional_bruteforce,
     fractional_chromatic_bruteforce,
 )
@@ -107,16 +111,63 @@ def _small_non_forests():
     return graphs
 
 
+def _k5_and_k5_pendant():
+    # degeneracy 4 gives the bound 3, which no orientation reaches, so the
+    # search never stops early on these
+    return [complete_graph(5), Graph(6, list(complete_graph(5).edges) + [(0, 5)])]
+
+
 def test_dichromatic_exact_witness_is_first_maximum():
     # the witness is the first counter code reaching the maximum; a search
     # that kept a later maximum would return another orientation
-    for G in _small_non_forests():
+    for G in _small_non_forests() + _k5_and_k5_pendant():
         values = [brute_digraph_chromatic(G.n, Digraph(G, code).arcs())
                   for code in range(1 << len(G.edges))]
         best = max(values)
         value, witness = dichromatic_number_exact(G)
         assert value == best
         assert witness == Digraph(G, values.index(best))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=7), st.data())
+def test_degeneracy_bound_holds_for_every_orientation(n, data):
+    # the search stops once it reaches k // 2 + 1; no orientation may exceed it
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = data.draw(st.integers(min_value=3, max_value=min(12, len(pairs))))
+    edges = data.draw(st.permutations(pairs))[:m]
+    G = Graph(n, edges)
+    assume(not is_forest(G))
+    k, _ = degeneracy_coloring(G)
+    most = max(brute_digraph_chromatic(n, D.arcs()) for D in orientations(G))
+    assert most <= k // 2 + 1
+
+
+def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
+    # Petersen is 3-degenerate, so the search ends at the first code with
+    # value 2: code 18, after 19 calls instead of 2^15
+    G = kneser_graph(5, 2)
+    codes = []
+
+    def counted(D):
+        codes.append(D.bits)
+        return digraph_chromatic_number(D)
+
+    monkeypatch.setattr("dicolor.coloring.digraph_chromatic_number", counted)
+    value, witness = dichromatic_number_exact(G)
+    assert (value, witness.bits) == (2, 18)
+    assert len(codes) <= 19
+    # every earlier code is acyclic, so 18 is the first maximum of the full search
+    full = G.full_mask
+    assert [dfs_has_cycle(G.n, Digraph(G, c).arcs(), full) for c in range(19)] == [False] * 18 + [True]
+
+
+def test_fractional_dichromatic_is_bruteforce_maximum():
+    # one LP per distinct family, over the lower half of the codes, gives the
+    # maximum over all orientations
+    for G in _small_non_forests():
+        best = max(digraph_fractional_bruteforce(G.n, D.arcs()) for D in orientations(G))
+        assert fractional_dichromatic(G) == best
 
 
 def test_dichromatic_mc_witness_is_first_sampled_maximum():

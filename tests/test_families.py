@@ -88,6 +88,23 @@ def test_maximal_acyclic_matches_bruteforce():
         assert got == want
 
 
+def test_maximal_acyclic_within_and_containing_match_bruteforce():
+    # the include branch tests only whether one vertex closes a cycle with an
+    # acyclic set; a wrong test shows on induced sub-digraphs and anchors too
+    rng = random.Random(29)
+    for _ in range(150):
+        G = _random_graph(rng, n_max=7, p=0.6)
+        D = random_orientation(G, rng.randrange(2**32))
+        S = rng.getrandbits(G.n) if rng.random() < 0.7 else G.full_mask
+        want = brute_maximal_acyclic_sets(G.n, D.arcs(), within=S)
+        got = maximal_acyclic_sets(D, within=S)
+        assert len(got) == len(set(got)) and set(got) == want
+        for v in range(G.n):
+            if (S >> v) & 1:
+                anchored = maximal_acyclic_sets(D, within=S, containing=v)
+                assert set(anchored) == {m for m in want if (m >> v) & 1}
+
+
 def test_maximal_acyclic_examples():
     K3 = complete_graph(3)
     cyc = Digraph.from_arcs(K3, [(0, 1), (1, 2), (2, 0)])
