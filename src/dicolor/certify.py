@@ -33,6 +33,8 @@ from .graphs import Digraph, Graph, derive_rng, is_acyclic, random_orientation
 from .sparse import RankedOrder, Weighting, _principal_dense_sets, ranked_order
 
 CANDIDATE_CAP = 1 << 24
+BINOM_BOUND_BITS = 1 << 21
+UNION_BOUND_BITS = 1 << 24
 FLOAT_TOL = 1e-12
 
 E_LO = Fraction(2718281828, 10**9)
@@ -193,6 +195,14 @@ def hypothesis_strict_scale(t: Fraction) -> bool:
     return float(t) > 4.0 * math.log2(2.0 * math.e * float(t) ** 2) + FLOAT_TOL
 
 
+def _float_pow(base: float, exponent: float) -> float:
+    """base ** exponent, or inf past the float range (base > 0)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def union_bound_report(t, n: int | Graph | None = None) -> BoundReport:
     """Union-bound table for the chance some principal dense set is acyclic.
 
@@ -206,10 +216,23 @@ def union_bound_report(t, n: int | Graph | None = None) -> BoundReport:
     t = Fraction(t)
     if t <= 0:
         raise InputError("t must be positive")
+    # the table is in floats: t^2 must be a finite float, and the
+    # acyclicity exponent log2(d + 1) needs d > -1, i.e. e t^2 > 2^(-1/2)
+    if t >= 2**511:
+        raise InputError("t must be below 2^511")
     if isinstance(n, Graph):
         n = n.n
     tf = float(t)
-    d = 2.0 * math.log2(math.e * tf * tf)
+    e_t2 = math.e * tf * tf
+    d = 2.0 * math.log2(e_t2) if e_t2 > 0 else -math.inf
+    if not d > -1.0:
+        t_min = (math.e * math.sqrt(2.0)) ** -0.5
+        raise InputError(f"t must exceed (e sqrt 2)^(-1/2) = {t_min:.6f}, so that d = 2 log2(e t^2) > -1")
+    if n is not None:
+        # the exact counts C(floor(t k), k) for k <= n have about k bitlen(t n) bits each
+        bits = n * n * max(1, math.floor(t * n).bit_length()) // 2
+        if bits > UNION_BOUND_BITS:
+            raise BudgetExceededError("union-bound exact counts (bits)", bits, UNION_BOUND_BITS)
     hyp = hypothesis_t_vs_density(t)
     q = (d + 1.0) / tf
     terms: list[UnionBoundTerm] = []
@@ -222,10 +245,10 @@ def union_bound_report(t, n: int | Graph | None = None) -> BoundReport:
         log2_prob = -k * d / 2.0 + k * math.log2(d + 1.0)
         if count:
             log2_term = math.log2(count) + log2_prob
-            term = 2.0**log2_term if log2_term > -1074 else 0.0
+            term = _float_pow(2.0, log2_term) if log2_term > -1074 else 0.0
         else:
             term = 0.0
-        geo = q**k
+        geo = _float_pow(q, k)
         within = (term <= geo * (1.0 + 1e-9) + FLOAT_TOL) if hyp else None
         terms.append(
             UnionBoundTerm(
@@ -260,7 +283,15 @@ def check_binomial_bound(t, k: int) -> bool:
     t = Fraction(t)
     if t <= 0 or k < 1:
         raise InputError("need t > 0 and k >= 1")
-    return comb(math.floor(t * k), k) < (E_LO * t) ** k
+    top = math.floor(t * k)
+    base = E_LO * t
+    # (E_LO t)^k has k times the bits of E_LO t on each side, and the
+    # comparison multiplies C(top, k) <= min(2^top, top^k) by its denominator
+    bits = k * max(base.numerator.bit_length(), base.denominator.bit_length())
+    bits += min(top, k * top.bit_length())
+    if bits > BINOM_BOUND_BITS:
+        raise BudgetExceededError("binomial bound integers (bits)", bits, BINOM_BOUND_BITS)
+    return comb(top, k) < base**k
 
 
 @dataclass(frozen=True)

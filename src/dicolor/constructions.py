@@ -33,6 +33,7 @@ CONSTRUCT_VERTEX_BUDGET = 4096
 SUBSET_CAP = 1 << 24
 KNESER_BOUND_BITS = 1 << 21
 KNESER_INEQ_K_BUDGET = 1 << 18
+FLOAT_BOUND_BITS = 1023
 
 
 def kneser_vertex_sets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -275,6 +276,10 @@ def biclique_failure_bound(m: int, k: int) -> float:
     if m < 1 or k < 1:
         raise InputError("m and k must be positive")
     r = -(-m // k)
+    if r > max(2 * m.bit_length() + 3, 1075):
+        # the exponent r (2 - r + 2 log2 m) is below -r <= -1075, and r^2
+        # may be past the float range
+        return 0.0
     log2v = -r * r + 2 * r + 2 * r * math.log2(m)
     return math.inf if log2v > 1024 else 2.0**log2v
 
@@ -415,10 +420,17 @@ def orient_complete_blowup(
     raise TriesExhaustedError(max_tries)
 
 
+def _check_float_range(x: int) -> None:
+    # the float bounds divide x as a float, which is finite below 2^1023
+    if x.bit_length() > FLOAT_BOUND_BITS:
+        raise BudgetExceededError("float bound argument (bits)", x.bit_length(), FLOAT_BOUND_BITS)
+
+
 def complete_graph_lower_bound(n: int) -> float:
     """n / (2 log2 n), the classical dichromatic bound for K_n."""
     if n < 2:
         raise InputError("needs n >= 2")
+    _check_float_range(n)
     return n / (2.0 * math.log2(n))
 
 
@@ -427,6 +439,7 @@ def complete_blowup_lower_bound(n: int, k: int) -> float:
     if n < 1 or k < 1 or n * k < 2:
         raise InputError("needs n*k >= 2")
     nk = n * k
+    _check_float_range(nk)
     return min(nk / (4.0 * math.log2(nk)), n / 2.0)
 
 

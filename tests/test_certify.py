@@ -199,6 +199,13 @@ def test_union_bound_report_values():
     assert not rep8.hypothesis_ok
     with pytest.raises(InputError):
         union_bound_report(0)
+    # log2(d + 1) needs d = 2 log2(e t^2) > -1, i.e. t > 0.510029...
+    with pytest.raises(InputError):
+        union_bound_report(Fraction(51, 100))
+    assert -1 < union_bound_report(Fraction(52, 100)).d < 0
+    # past the float range a term or its geometric bound reads inf
+    rep = union_bound_report(Fraction(3, 2))
+    assert rep.terms[-1].geometric == math.inf and rep.k_stop == 512
 
 
 def test_union_bound_with_vertex_count():
@@ -206,6 +213,17 @@ def test_union_bound_with_vertex_count():
     rep = union_bound_report(60, G)
     assert rep.n == 10 and len(rep.terms) == 10
     assert rep.tail_bound is None
+    # n^2 bitlen(t n) / 2 estimates the bits of the exact counts
+    assert len(union_bound_report(60, 1404).terms) == 1404
+    with pytest.raises(BudgetExceededError):
+        union_bound_report(60, 1405)
+
+
+def test_binomial_bound_gate():
+    # (e t)^k is refused before it is built once its bits pass 2^21
+    assert check_binomial_bound(3, 1000)
+    with pytest.raises(BudgetExceededError):
+        check_binomial_bound(3, 61681)
 
 
 def test_hypothesis_brackets():

@@ -236,6 +236,31 @@ def test_huge_sizes_are_budget_errors(tmp_path, argv):
     assert json.loads(done.stderr)["error"]["kind"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("argv, code", [
+    # d = 2 log2(e t^2) <= -1 made log2(d + 1) a math domain error
+    (["union-bound", "1/1000"], 3),
+    (["union-bound", "1/2"], 3),
+    # q^k and 2^log2_term overflowed the float range
+    (["union-bound", "3/2"], 0),
+    (["union-bound", "3", "1000"], 0),
+    (["union-bound", "1" + "0" * 400], 3),
+    (["union-bound", "60", "100000"], 2),
+    # C(floor(t k), k) and (e t)^k were built with about 3 * 10^9 bits
+    (["binom", "3", "100000000"], 2),
+    # N = 10^400 was converted to a float
+    (["complete", "1" + "0" * 400], 2),
+    (["blowup-complete", "1" + "0" * 400, "2"], 2),
+    (["biclique-cond", "1" + "0" * 400, "1"], 0),
+])
+def test_bounds_edge_inputs_end_with_json(argv, code):
+    done = run_cli_process("bounds", *argv)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    payload = json.loads(done.stdout if code == 0 else done.stderr)
+    assert ("results" in payload) if code == 0 else payload["error"]["kind"] in (
+        "budget-exceeded", "invalid-input")
+
+
 def test_format_count():
     assert format_count(0) == "0"
     assert format_count(2**64) == str(2**64)

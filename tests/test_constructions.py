@@ -179,6 +179,13 @@ def test_biclique_condition_and_bound():
         for r in range(0, 40):
             assert _four_m_squared_within(m, r) == (4 * m * m <= 1 << r)
     assert biclique_failure_bound(8, 2) == 2.0**16  # r = 4, vacuous and reported
+    # past r > max(2 bitlen(m) + 3, 1075) the bound is 0.0 without building r^2
+    for m in (1076, 5000, 10**5, 10**6 + 7):
+        for k in (1, 2, 3):
+            r = -(-m // k)
+            direct = 2.0 ** (-r * r + 2 * r + 2 * r * math.log2(m))
+            assert biclique_failure_bound(m, k) == direct
+    assert biclique_failure_bound(10**400, 1) == 0.0
 
 
 def test_detect_complete_blowup():
@@ -226,6 +233,12 @@ def test_bound_evaluators():
         kneser_lower_bound(3, 2)
     with pytest.raises(InputError):
         complete_graph_lower_bound(1)
+    # the float bounds take integers below 2^1023, not N = 10^400
+    assert complete_graph_lower_bound(2**1022) == 2.0**1022 / 2044
+    with pytest.raises(BudgetExceededError):
+        complete_graph_lower_bound(2**1023)
+    with pytest.raises(BudgetExceededError):
+        complete_blowup_lower_bound(2**1022, 2)
 
 
 def test_kneser_lower_bound_monotone_in_n():
