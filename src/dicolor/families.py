@@ -83,19 +83,19 @@ def maximal_acyclic_sets(
     in_masks = D.in_masks
     adj = D.graph.adj
 
-    def extends(A: int, v: int) -> bool:
-        # A is acyclic, so a cycle of A + v runs v -> o ~> i -> v with o and
-        # i in A: look for an out-neighbour o among the vertices of A that
-        # reach an in-neighbour of v inside A
-        outs = adj[v] & A & ~in_masks[v]
-        reach = frontier = in_masks[v] & A
+    def extends(T: int, v: int) -> bool:
+        # True iff no directed cycle of T + v passes through v, i.e. no
+        # out-neighbour o of v in T reaches an in-neighbour of v inside T;
+        # for an acyclic T that is exactly T + v being acyclic
+        outs = adj[v] & T & ~in_masks[v]
+        reach = frontier = in_masks[v] & T
         while frontier and not reach & outs:
             preds = 0
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
                 preds |= in_masks[low.bit_length() - 1]
-            frontier = preds & A & ~reach
+            frontier = preds & T & ~reach
             reach |= frontier
         return not reach & outs
 
@@ -120,7 +120,11 @@ def maximal_acyclic_sets(
             if extends(with_u, v):
                 new_excl |= 1 << v
         rec(with_u, new_cand, new_excl)
-        rec(A, cand ^ low, excl | low)
+        # a u that closes no cycle with A and every remaining candidate
+        # extends every leaf of the exclude branch, so no leaf there is maximal
+        rest = cand ^ low
+        if not extends(A | rest, low.bit_length() - 1):
+            rec(A, rest, excl | low)
 
     if containing is None:
         rec(0, S, 0)

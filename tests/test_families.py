@@ -105,6 +105,21 @@ def test_maximal_acyclic_within_and_containing_match_bruteforce():
                 assert set(anchored) == {m for m in want if (m >> v) & 1}
 
 
+def test_maximal_acyclic_pendant_path_joins_every_set():
+    # no cycle passes through a pendant path, so every maximal acyclic set
+    # holds all of it; the exclude branch of such a vertex is cut at once
+    K5 = complete_graph(5)
+    path = [(0, 5)] + [(v, v + 1) for v in range(5, 14)]
+    G = Graph(15, list(K5.edges) + path)
+    rng = random.Random(5)
+    for _ in range(20):
+        core_D = random_orientation(K5, rng.randrange(2**32))
+        arcs = core_D.arcs() + [(u, v) if rng.random() < 0.5 else (v, u) for u, v in path]
+        D = Digraph.from_arcs(G, arcs)
+        core = maximal_acyclic_sets(core_D)
+        assert sorted(maximal_acyclic_sets(D)) == sorted(m | 0b111111111100000 for m in core)
+
+
 def test_maximal_acyclic_examples():
     K3 = complete_graph(3)
     cyc = Digraph.from_arcs(K3, [(0, 1), (1, 2), (2, 0)])
