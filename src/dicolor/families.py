@@ -110,6 +110,7 @@ def maximal_acyclic_sets(
                 out.append(A)
             return
         low = cand & -cand
+        u = low.bit_length() - 1
         with_u = A | low
         new_cand = 0
         for v in iter_bits(cand ^ low):
@@ -123,7 +124,7 @@ def maximal_acyclic_sets(
         # a u that closes no cycle with A and every remaining candidate
         # extends every leaf of the exclude branch, so no leaf there is maximal
         rest = cand ^ low
-        if not extends(A | rest, low.bit_length() - 1):
+        if not extends(A | rest, u):
             rec(A, rest, excl | low)
 
     if containing is None:

@@ -238,6 +238,10 @@ def test_fractional_dichromatic_examples():
     assert fractional_dichromatic(cycle_graph(4)) == Fraction(4, 3)
     sampled = fractional_dichromatic(complete_graph(3), trials=16, seed=4)
     assert sampled <= Fraction(3, 2)
+    # the 20-vertex LP gate refuses only searches that need an LP
+    assert fractional_dichromatic(path_graph(30)) == 1
+    with pytest.raises(BudgetExceededError):
+        fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_fractional_dichromatic_dominates_each_orientation():
