@@ -111,16 +111,16 @@ def _small_non_forests():
     return graphs
 
 
-def _k5_and_k5_pendant():
-    # degeneracy 4 gives the bound 3, which no orientation reaches, so the
-    # search never stops early on these
-    return [complete_graph(5), Graph(6, list(complete_graph(5).edges) + [(0, 5)])]
+# degeneracy 4 gives the bound 3, which no orientation of these reaches, so
+# the search never stops early on them
+K5 = complete_graph(5)
+K5_PENDANT = Graph(6, list(K5.edges) + [(0, 5)])
 
 
 def test_dichromatic_exact_witness_is_first_maximum():
     # the witness is the first counter code reaching the maximum; a search
     # that kept a later maximum would return another orientation
-    for G in _small_non_forests() + _k5_and_k5_pendant():
+    for G in _small_non_forests() + [K5, K5_PENDANT]:
         values = [brute_digraph_chromatic(G.n, Digraph(G, code).arcs())
                   for code in range(1 << len(G.edges))]
         best = max(values)

@@ -86,16 +86,8 @@ def test_maximal_acyclic_matches_bruteforce():
         got = set(maximal_acyclic_sets(D))
         want = brute_maximal_acyclic_sets(G.n, D.arcs())
         assert got == want
-
-
-def test_maximal_acyclic_within_and_containing_match_bruteforce():
-    # the include branch tests only whether one vertex closes a cycle with an
-    # acyclic set; a wrong test shows on induced sub-digraphs and anchors too
-    rng = random.Random(29)
-    for _ in range(150):
-        G = _random_graph(rng, n_max=7, p=0.6)
-        D = random_orientation(G, rng.randrange(2**32))
-        S = rng.getrandbits(G.n) if rng.random() < 0.7 else G.full_mask
+        # on an induced sub-digraph and through each anchor vertex too
+        S = rng.getrandbits(G.n)
         want = brute_maximal_acyclic_sets(G.n, D.arcs(), within=S)
         got = maximal_acyclic_sets(D, within=S)
         assert len(got) == len(set(got)) and set(got) == want
