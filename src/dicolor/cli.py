@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations; every run prints a
-JSON report (rationals as "p/q" strings) to stdout, errors go to stderr.
+strict JSON report (rationals as "p/q" strings, non-finite floats as
+"inf", "-inf" or "nan") to stdout, errors go to stderr.
 Exit codes: 0 success, 1 property/certification failure, 2 budget
 exceeded, 3 invalid input (usage errors included).  Identical
 invocations with the same seed reproduce identical result fields; only
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -37,11 +39,12 @@ EXIT_INPUT = 3
 
 
 def _ser(value):
-    """JSON-friendly rendering; Fractions become 'p/q' strings."""
+    """JSON-friendly rendering; Fractions become 'p/q' strings and
+    non-finite floats 'inf', '-inf' or 'nan', which strict JSON lacks."""
     if isinstance(value, Fraction):
         return format_fraction(value)
     if isinstance(value, float):
-        return value
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, dict):
         return {k: _ser(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -364,13 +367,13 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": _ser(body.get("verdicts", {})),
             "timings": {"seconds": round(time.perf_counter() - started, 6)},
         }
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     return code
 
 
 def _emit_error(kind: str, message: str, extra: dict) -> None:
     payload = {"error": {"kind": kind, "message": message, **extra}}
-    print(json.dumps(payload, indent=2), file=sys.stderr)
+    print(json.dumps(payload, indent=2, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

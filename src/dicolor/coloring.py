@@ -72,7 +72,12 @@ def _min_cover(full: int, parts_for) -> int:
         memo[S] = best
         return best
 
-    return rec(full)
+    try:
+        return rec(full)
+    finally:
+        # rec refers to itself through its closure; emptying that cell frees
+        # the memo now instead of at the next full garbage collection
+        del rec
 
 
 def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
@@ -185,10 +190,8 @@ def _solve_cover_lp(
         covered |= col
     if covered != (1 << n) - 1:
         raise DicolorError("columns do not cover every vertex")
-    c = [Fraction(1)] * n
-    A = [[Fraction(1) if (col >> v) & 1 else Fraction(0) for v in range(n)] for col in columns]
-    b = [Fraction(1)] * len(columns)
-    value, w, y = simplex_max(c, A, b)
+    A = [[(col >> v) & 1 for v in range(n)] for col in columns]
+    value, w, y = simplex_max([1] * n, A, [1] * len(columns))
     cover = CoverSolution(
         parts=tuple((col, yv) for col, yv in zip(columns, y) if yv > 0), objective=value
     )

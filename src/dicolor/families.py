@@ -57,12 +57,15 @@ def maximal_independent_sets(
             P &= ~vm
             X |= vm
 
-    if containing is None:
-        yield from bk(0, S, 0)
-    else:
-        if not (S >> containing) & 1:
-            raise InputError(f"anchor vertex {containing} is outside the ground set")
-        yield from bk(1 << containing, compat[containing], 0)
+    try:
+        if containing is None:
+            yield from bk(0, S, 0)
+        else:
+            if not (S >> containing) & 1:
+                raise InputError(f"anchor vertex {containing} is outside the ground set")
+            yield from bk(1 << containing, compat[containing], 0)
+    finally:
+        del bk  # bk refers to itself: drop the cycle so reference counting frees it
 
 
 def maximal_acyclic_sets(
@@ -127,11 +130,14 @@ def maximal_acyclic_sets(
         if not extends(A | rest, u):
             rec(A, rest, excl | low)
 
-    if containing is None:
-        rec(0, S, 0)
-    else:
-        anchor = 1 << containing
-        if not S & anchor:
-            raise InputError(f"anchor vertex {containing} is outside the ground set")
-        rec(anchor, S ^ anchor, 0)
+    try:
+        if containing is None:
+            rec(0, S, 0)
+        else:
+            anchor = 1 << containing
+            if not S & anchor:
+                raise InputError(f"anchor vertex {containing} is outside the ground set")
+            rec(anchor, S ^ anchor, 0)
+    finally:
+        del rec  # as bk above
     return out

@@ -6,24 +6,47 @@ index rule is used for both the entering and the leaving variable, which
 makes the pivot path deterministic and rules out cycling.  The optimal
 duals are read off the reduced costs of the slack columns, so one solve
 yields a primal/dual pair with exactly equal objectives.
+
+The arithmetic is integer pivoting over one common denominator (Edmonds;
+Bareiss).  The rows of A and b are scaled once by the lcm L of their
+denominators (the slacks become L times the original ones) and c by the
+lcm K of its own, and the tableau T holds integers with the true tableau
+equal to T / D.  A pivot on p = T[r][e] replaces every other row by
+(p T[i] - T[i][e] T[r]) / D, a division that is always exact because every
+entry is a minor of the scaled data, and then sets D = p > 0.  The signs
+the entering rule reads and the ratios the leaving rule compares are
+therefore those of the rational tableau, so the pivot path is the one a
+Fraction tableau takes and the results, read back as Fractions, are equal;
+no entry update pays for a gcd.  Only the nonbasic columns are stored
+(Tucker's condensed tableau): a basic column is D times a unit vector,
+and the column of the variable that leaves is the one a full tableau
+would compute for it, so a pivot costs (m + 1)(n + 1) updates, not
+(m + 1)(n + m + 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DicolorError, InputError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Rational = Fraction | int
 
 
 class UnboundedError(DicolorError):
     """The packing program is unbounded (cannot happen for 0/1 columns)."""
 
 
+def _integer_rows(rows: list[list[Rational]]) -> tuple[int, list[list[int]]]:
+    """The lcm L of all denominators, and the rows times L as ints."""
+    rows = [[v if type(v) is int else Fraction(v) for v in row] for row in rows]
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
 def simplex_max(
-    c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]
+    c: list[Rational], A: list[list[Rational]], b: list[Rational]
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Return ``(value, x, y)`` with x primal-optimal and y dual-optimal.
 
@@ -35,51 +58,63 @@ def simplex_max(
     for i, bi in enumerate(b):
         if bi < 0:
             raise InputError(f"rhs {i} is negative; slack start needs b >= 0")
-    # tableau: n structural columns, m slack columns, rhs
-    rows = [
-        [Fraction(A[i][j]) for j in range(n)]
-        + [ONE if k == i else ZERO for k in range(m)]
-        + [Fraction(b[i])]
-        for i in range(m)
-    ]
-    obj = [-Fraction(cj) for cj in c] + [ZERO] * (m + 1)
+    # variables: x_0..x_{n-1}, then the slack of row i as n + i; the rows
+    # are the basic variables, the first n columns the nonbasic ones and
+    # the last column the rhs; the objective row comes last
+    L, rows = _integer_rows([[A[i][j] for j in range(n)] + [b[i]] for i in range(m)])
+    K, (cost,) = _integer_rows([list(c)])
+    obj = [-cj for cj in cost] + [0]
+    rows.append(obj)
     basis = [n + i for i in range(m)]
+    nonbasic = list(range(n))
+    D = 1
 
     while True:
         enter = -1
-        for j in range(n + m):
-            if obj[j] < 0:
+        for j in range(n):
+            if obj[j] < 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
                 enter = j
-                break
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # rows[i][-1] / a against the best ratio so far, both over D
+                lhs = rows[i][-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise UnboundedError("objective unbounded above")
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
         prow = rows[leave]
-        for i in range(m):
-            if i != leave and rows[i][enter]:
-                f = rows[i][enter]
-                rows[i] = [v - f * pv for v, pv in zip(rows[i], prow)]
-        if obj[enter]:
-            f = obj[enter]
-            for j in range(n + m + 1):
-                obj[j] -= f * prow[j]
-        basis[leave] = enter
+        p = prow[enter]
+        for i, row in enumerate(rows):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                row = [(p * v - f * pv) // D for v, pv in zip(row, prow)]
+                row[enter] = -f  # the leaving variable's column
+                rows[i] = row
+            elif p != D:
+                rows[i] = [p * v // D for v in row]
+        prow[enter] = D
+        obj = rows[m]
+        D = p
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    x = [ZERO] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = rows[i][-1]
-    y = [obj[n + i] for i in range(m)]
-    return obj[-1], x, y
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = Fraction(rows[i][-1], D)
+    # a basic slack has reduced cost 0; a nonbasic one is in the objective
+    # row, per slack s' = L s
+    y = [Fraction(0)] * m
+    for j, var in enumerate(nonbasic):
+        if var >= n:
+            y[var - n] = Fraction(obj[j] * L, D * K)
+    return Fraction(obj[-1], D * K), x, y

@@ -3,13 +3,18 @@
 Everything here deliberately avoids the library's algorithms: LP values
 come from basic-solution enumeration instead of simplex, cycle detection
 is DFS-based instead of source peeling, and maximal families come from
-direct subset scans.  Slow and only meant for tiny instances.
+direct subset scans.  Slow and only meant for tiny instances.  The one
+exception is ``fraction_simplex_max``, the dense Fraction tableau that the
+library's integer-pivoting simplex must match pivot for pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from dicolor.errors import InputError
+from dicolor.simplex import UnboundedError
 
 
 def solve_square(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -176,3 +181,64 @@ def brute_digraph_chromatic(n: int, arcs: list[tuple[int, int]]) -> int:
     ):
         c += 1
     return c
+
+
+def fraction_simplex_max(
+    c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """The dense Fraction tableau with Bland's rule that ``simplex_max``
+    replaced: same entering and leaving rules, same ``(value, x, y)``,
+    every entry a Fraction.  The reference for the integer-pivoting one."""
+    m = len(A)
+    n = len(c)
+    for i, bi in enumerate(b):
+        if bi < 0:
+            raise InputError(f"rhs {i} is negative; slack start needs b >= 0")
+    # tableau: n structural columns, m slack columns, rhs
+    rows = [
+        [Fraction(A[i][j]) for j in range(n)]
+        + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [-Fraction(cj) for cj in c] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+
+    while True:
+        enter = -1
+        for j in range(n + m):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedError("objective unbounded above")
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        prow = rows[leave]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [v - f * pv for v, pv in zip(rows[i], prow)]
+        if obj[enter]:
+            f = obj[enter]
+            for j in range(n + m + 1):
+                obj[j] -= f * prow[j]
+        basis[leave] = enter
+
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = rows[i][-1]
+    y = [obj[n + i] for i in range(m)]
+    return obj[-1], x, y

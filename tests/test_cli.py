@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import dicolor
-from dicolor.cli import main
+from dicolor.cli import _ser, main
 from dicolor.errors import GraphFormatError, format_count
 from dicolor.io import (
     build_digraph,
@@ -256,9 +256,28 @@ def test_bounds_edge_inputs_end_with_json(argv, code):
     done = run_cli_process("bounds", *argv)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
-    payload = json.loads(done.stdout if code == 0 else done.stderr)
+    payload = strict_json(done.stdout if code == 0 else done.stderr)
     assert ("results" in payload) if code == 0 else payload["error"]["kind"] in (
         "budget-exceeded", "invalid-input")
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, as jq does."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["biclique-cond", "1" + "0" * 400, "1" + "0" * 399], "failure_bound"),
+    (["union-bound", "3", "1000"], "total"),
+])
+def test_non_finite_floats_print_as_strings(capsys, argv, field):
+    # both printed a bare Infinity, which strict JSON parsers reject
+    code, out, _ = run_cli(capsys, "bounds", *argv)
+    assert code == 0
+    assert strict_json(out)["results"][field] == "inf"
+    assert _ser([float("-inf"), float("nan"), 0.5]) == ["-inf", "nan", 0.5]
 
 
 def test_format_count():

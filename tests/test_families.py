@@ -1,9 +1,11 @@
 """Maximal independent / maximal acyclic set enumeration."""
 
+import gc
 import random
 
 import pytest
 
+from dicolor.coloring import chromatic_number, digraph_chromatic_number
 from dicolor.errors import BudgetExceededError
 from dicolor.families import (
     is_independent,
@@ -125,3 +127,21 @@ def test_maximal_acyclic_cap():
     D = random_orientation(G, 1)
     with pytest.raises(BudgetExceededError):
         maximal_acyclic_sets(D, cap=1)
+
+
+def test_enumerators_leave_no_reference_cycles():
+    # the recursive closures referred to themselves, so every call left a
+    # cycle (and chromatic_number its whole memo) for the cyclic collector
+    G = cycle_graph(7)
+    D = Digraph(complete_graph(5), 0b1011001101)
+    gc.collect()
+    gc.disable()
+    try:
+        list(maximal_independent_sets(G))
+        next(maximal_independent_sets(G, containing=2))  # left unfinished
+        maximal_acyclic_sets(D)
+        chromatic_number(G)
+        digraph_chromatic_number(D)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

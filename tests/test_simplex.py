@@ -2,13 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from dicolor.coloring import fractional_chromatic_with_dual
+from dicolor.constructions import kneser_graph
 from dicolor.errors import InputError
-from dicolor.simplex import simplex_max
+from dicolor.families import maximal_independent_sets
+from dicolor.graphs import Graph
+from dicolor.simplex import UnboundedError, simplex_max
 
-from oracles import packing_lp_value
+from oracles import fraction_simplex_max, packing_lp_value
 
 
 def test_single_constraint():
@@ -69,3 +74,76 @@ def test_deterministic_result():
     a = simplex_max([Fraction(1)] * 3, [[Fraction(v) for v in r] for r in rows], [Fraction(1)] * 3)
     b = simplex_max([Fraction(1)] * 3, [[Fraction(v) for v in r] for r in rows], [Fraction(1)] * 3)
     assert a == b
+
+
+def _random_rational(rng, lo, hi):
+    return Fraction(rng.randint(lo * 6, hi * 6), rng.choice((1, 2, 3, 4, 5, 6, 7)))
+
+
+def test_integer_pivoting_matches_fraction_tableau():
+    # the integer tableau must take the Fraction tableau's pivot path, so
+    # value, x and y agree exactly, unbounded programs included; zero
+    # right-hand sides make degenerate ratio ties for Bland's leaving rule
+    rng = random.Random(20261018)
+    bounded = 0
+    for _ in range(2700):
+        n = rng.randint(1, 7)
+        m = rng.randint(1, 8)
+        A = [
+            [Fraction(0) if rng.random() < 0.3 else _random_rational(rng, -1, 3) for _ in range(n)]
+            for _ in range(m)
+        ]
+        b = [Fraction(0) if rng.random() < 0.25 else _random_rational(rng, 0, 4) for _ in range(m)]
+        c = [_random_rational(rng, -2, 3) for _ in range(n)]
+        try:
+            expected = fraction_simplex_max(c, A, b)
+        except UnboundedError:
+            with pytest.raises(UnboundedError):
+                simplex_max(c, A, b)
+            continue
+        got = simplex_max(c, A, b)
+        assert got == expected
+        assert all(type(v) is Fraction for v in (got[0], *got[1], *got[2]))
+        bounded += 1
+    assert bounded >= 2000
+
+
+def _union(*parts):
+    """Disjoint union of cliques "K<k>" and cycles "C<k>"."""
+    edges = []
+    base = 0
+    for part in parts:
+        k = int(part[1:])
+        if part[0] == "K":
+            edges += [(base + i, base + j) for i, j in combinations(range(k), 2)]
+        else:
+            edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+        base += k
+    return Graph(base, edges)
+
+
+# the fixed covering LPs of the benchmark's fractional workload
+COVER_LPS = {
+    "1xK3+C5": ("K3", "C5"),
+    "2xK3+C5": ("K3", "K3", "C5"),
+    "3xK3+C5": ("K3", "K3", "K3", "C5"),
+    "KG(5,2)": (5, 2),
+    "KG(6,2)": (6, 2),
+    "K3+C5+C5": ("K3", "C5", "C5"),
+    "K4+K4+C5": ("K4", "K4", "C5"),
+    "K4+C5+C5": ("K4", "C5", "C5"),
+}
+
+
+@pytest.mark.parametrize("name", COVER_LPS)
+def test_cover_lp_matches_fraction_tableau(name):
+    spec = COVER_LPS[name]
+    G = kneser_graph(*spec) if name.startswith("KG") else _union(*spec)
+    columns = list(maximal_independent_sets(G))
+    A = [[(col >> v) & 1 for v in range(G.n)] for col in columns]
+    expected = fraction_simplex_max([1] * G.n, A, [1] * len(columns))
+    assert simplex_max([1] * G.n, A, [1] * len(columns)) == expected
+    value, cover, weighting = fractional_chromatic_with_dual(G)
+    assert value == expected[0]
+    assert cover.parts == tuple((col, y) for col, y in zip(columns, expected[2]) if y > 0)
+    assert weighting.values == tuple(expected[1])
