@@ -20,6 +20,7 @@ from .graphs import (
     Digraph,
     Graph,
     derive_rng,
+    is_acyclic,
     is_forest,
     orientations,
     random_orientation,
@@ -30,6 +31,7 @@ from .sparse import Weighting, degeneracy_coloring
 DP_VERTEX_BUDGET = 24
 LP_VERTEX_BUDGET = 20
 ORIENT_EDGE_BUDGET = 20
+COVER_POOL = 8  # covers kept by the orientation search, see _best_orientation
 
 _INF = float("inf")
 
@@ -45,18 +47,18 @@ class CoverSolution:
         return sum((w for mask, w in self.parts if (mask >> v) & 1), Fraction(0))
 
 
-def _min_cover(full: int, parts_for) -> int:
-    """Minimum number of admissible parts covering ``full``.
+def _min_cover(full: int, parts_for) -> tuple[int, list[int]]:
+    """Minimum number of admissible parts covering ``full``, with such parts.
 
     ``parts_for(S, v)`` must yield the maximal admissible subsets of ``S``
-    containing vertex ``v``; correctness only needs every admissible set to
-    be contained in a maximal one.
+    containing vertex ``v``, in the same order on every call; correctness
+    only needs every admissible set to be contained in a maximal one.  The
+    memo keeps counts only; the parts are recovered afterwards by walking
+    down from ``full`` along the first part that attains each count.
     """
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {0: 0}
 
     def rec(S: int) -> int:
-        if not S:
-            return 0
         cached = memo.get(S)
         if cached is not None:
             return cached
@@ -73,45 +75,60 @@ def _min_cover(full: int, parts_for) -> int:
         return best
 
     try:
-        return rec(full)
+        count = rec(full)
     finally:
         # rec refers to itself through its closure; emptying that cell frees
         # the memo now instead of at the next full garbage collection
         del rec
+    # rec(S) recursed on S & ~M for every part M up to the first one
+    # attaining memo[S], so each lookup below hits the memo
+    parts = []
+    S = full
+    while S:
+        need = memo[S] - 1
+        for M in parts_for(S, (S & -S).bit_length() - 1):
+            if memo[S & ~M] == need:
+                break
+        parts.append(M)
+        S &= ~M
+    return count, parts
 
 
 def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     """Exact chromatic number: minimum independent sets covering V."""
     if G.n > vertex_budget:
         raise BudgetExceededError("chromatic-number DP", G.n, vertex_budget)
-    if G.n == 0:
-        return 0
     return _min_cover(
         G.full_mask, lambda S, v: maximal_independent_sets(G, within=S, containing=v)
-    )
+    )[0]
 
 
 def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     """Exact chromatic number of a digraph: minimum acyclic cover of V."""
+    return _acyclic_cover(D, vertex_budget)[0]
+
+
+def _acyclic_cover(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> tuple[int, list[int]]:
+    """Size and parts of a minimum cover of V by acyclic sets of D."""
     n = D.graph.n
     if n > vertex_budget:
         raise BudgetExceededError("digraph-chromatic DP", n, vertex_budget)
-    if n == 0:
-        return 0
     return _min_cover(
         D.graph.full_mask, lambda S, v: maximal_acyclic_sets(D, within=S, containing=v)
     )
 
 
 def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budget: int) -> tuple:
-    """Largest ``value(D)`` over orientations D of G, with the first D reaching it.
+    """Largest value over orientations D of G, with the first D reaching it.
 
-    With ``trials`` None the orientations are enumerated as binary
-    counters, gated by ``edge_budget``; only the codes below 2^(e-1) are
-    visited, since reversing every arc keeps the value.  Otherwise the
-    orientations are the seeded samples ``derive_rng(seed, i)`` for
-    ``i < trials``.  The empty graph gives 0, and every orientation of a
-    forest is acyclic, so forests short-circuit to 1.
+    ``value(D)`` returns the value of D and an optimal cover attaining it,
+    as a list of vertex sets that are acyclic in D.  With ``trials`` None
+    the orientations are enumerated as binary counters, gated by
+    ``edge_budget``; only the codes below 2^(e-1) are visited, since
+    reversing every arc keeps the value.  Otherwise the orientations are
+    the seeded samples ``derive_rng(seed, i)`` for ``i < trials``.  The
+    empty graph gives 0, and every orientation of a forest is acyclic, so
+    forests short-circuit to 1.
 
     The search stops as soon as the best value reaches ``k // 2 + 1``,
     where k is the degeneracy of G, because no orientation D exceeds it:
@@ -123,6 +140,18 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     neighbours.  So chi(D) <= k // 2 + 1, and chi_f(D) <= chi(D).  Every
     value seen before the stop is below the bound, so the witness is still
     the first orientation reaching the maximum.
+
+    Orientations an earlier cover already bounds are skipped without
+    calling ``value``.  The last ``COVER_POOL`` covers returned by
+    ``value`` are pooled, most recently used first.  Each came from an
+    orientation already evaluated, so its objective is at most the best
+    value so far, and the best value never falls.  If every set of a pooled
+    cover is acyclic in D, that cover is a feasible integer or fractional
+    cover of D: each acyclic set lies in a maximal acyclic set of D, over
+    which both covering problems range.  So value(D) is at most the cover's
+    objective, hence at most the best value.  Only an orientation with a
+    strictly larger value replaces the best one and the witness, so skipping
+    D changes neither the maximum nor the first orientation reaching it.
     """
     if trials is not None and trials < 1:
         raise InputError("need at least one trial")
@@ -146,13 +175,21 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     bound = k // 2 + 1
     best = 0
     witness = None
+    pool: list[list[int]] = []
     for D in digraphs:
-        c = value(D)
-        if c > best:
-            best = c
-            witness = D
-            if best >= bound:
+        for i, cover in enumerate(pool):
+            if all(is_acyclic(D, S) for S in cover):
+                pool.insert(0, pool.pop(i))
                 break
+        else:
+            c, cover = value(D)
+            pool.insert(0, cover)
+            del pool[COVER_POOL:]
+            if c > best:
+                best = c
+                witness = D
+                if best >= bound:
+                    break
     return best, witness
 
 
@@ -163,7 +200,7 @@ def dichromatic_number_exact(G: Graph, edge_budget: int = ORIENT_EDGE_BUDGET) ->
     2^(e-1) suffice, by reversal symmetry); raise the budget or fall back
     to :func:`dichromatic_lower_bound_mc` beyond ``edge_budget`` edges.
     """
-    return _best_orientation(G, digraph_chromatic_number, None, 0, edge_budget)
+    return _best_orientation(G, _acyclic_cover, None, 0, edge_budget)
 
 
 def dichromatic_lower_bound_mc(G: Graph, trials: int, seed: int = 0) -> tuple[int, Digraph]:
@@ -174,7 +211,7 @@ def dichromatic_lower_bound_mc(G: Graph, trials: int, seed: int = 0) -> tuple[in
     """
     m = len(G.edges)
     exhaustive = trials >= 1 and m < trials.bit_length()
-    return _best_orientation(G, digraph_chromatic_number, None if exhaustive else trials, seed, m)
+    return _best_orientation(G, _acyclic_cover, None if exhaustive else trials, seed, m)
 
 
 def _solve_cover_lp(
@@ -256,18 +293,20 @@ def fractional_dichromatic(
     applies); with ``trials`` it maximizes over that many seeded random
     orientations and returns a certified lower bound.  The LP value depends
     only on the family of maximal acyclic sets, and many orientations share
-    one, so each distinct family is solved once.
+    one, so each distinct family is solved once; the positive-weight sets of
+    its optimal cover are what the search pools.
     """
-    values: dict[tuple[int, ...], Fraction] = {}
+    covers: dict[tuple[int, ...], tuple[Fraction, list[int]]] = {}
 
-    def value(D: Digraph) -> Fraction:
+    def value(D: Digraph) -> tuple[Fraction, list[int]]:
         # forests never get here, so the LP gate does not refuse them
         if G.n > LP_VERTEX_BUDGET:
             raise BudgetExceededError("digraph fractional LP", G.n, LP_VERTEX_BUDGET)
         columns = tuple(sorted(maximal_acyclic_sets(D)))
-        if columns not in values:
-            values[columns] = _solve_cover_lp(G.n, list(columns))[0]
-        return values[columns]
+        if columns not in covers:
+            _, cover, _ = _solve_cover_lp(G.n, list(columns))
+            covers[columns] = cover.objective, [mask for mask, _ in cover.parts]
+        return covers[columns]
 
     best, _ = _best_orientation(G, value, trials, seed, edge_budget)
     return Fraction(best)

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dicolor import coloring
 from dicolor.coloring import (
     chromatic_number,
     dichromatic_lower_bound_mc,
@@ -31,6 +35,7 @@ from dicolor.graphs import (
     star_graph,
 )
 from dicolor.constructions import kneser_graph
+from dicolor.families import maximal_independent_sets
 from dicolor.sparse import degeneracy_coloring
 
 from oracles import (
@@ -61,6 +66,25 @@ def test_chromatic_matches_bruteforce():
     for _ in range(80):
         G = _random_graph(rng)
         assert chromatic_number(G) == brute_chromatic(G.n, list(G.edges))
+
+
+def test_min_cover_parts_are_an_admissible_cover():
+    # the parts recovered from the count memo: admissible, covering every
+    # vertex, and as many as the count, which is the brute-force optimum
+    rng = random.Random(17)
+    for _ in range(40):
+        G = _random_graph(rng)
+        count, parts = coloring._min_cover(
+            G.full_mask, lambda S, v: maximal_independent_sets(G, within=S, containing=v)
+        )
+        assert count == len(parts) == brute_chromatic(G.n, list(G.edges))
+        assert all(not G.adj[v] & part for part in parts for v in range(G.n) if part >> v & 1)
+        assert reduce(or_, parts, 0) == G.full_mask
+        D = random_orientation(G, rng.randrange(2**32))
+        count, parts = coloring._acyclic_cover(D)
+        assert count == len(parts) == brute_digraph_chromatic(G.n, D.arcs())
+        assert not any(dfs_has_cycle(G.n, D.arcs(), part) for part in parts)
+        assert reduce(or_, parts, 0) == G.full_mask
 
 
 def test_chromatic_budget():
@@ -145,21 +169,81 @@ def test_degeneracy_bound_holds_for_every_orientation(n, data):
 
 def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
     # Petersen is 3-degenerate, so the search ends at the first code with
-    # value 2: code 18, after 19 calls instead of 2^15
+    # value 2: code 18.  Code 0 is acyclic, its one-part cover {V} stays
+    # acyclic in codes 1-17, and so only codes 0 and 18 are evaluated
     G = kneser_graph(5, 2)
     codes = []
+    real = coloring._acyclic_cover
 
     def counted(D):
         codes.append(D.bits)
-        return digraph_chromatic_number(D)
+        return real(D)
 
-    monkeypatch.setattr("dicolor.coloring.digraph_chromatic_number", counted)
+    monkeypatch.setattr(coloring, "_acyclic_cover", counted)
     value, witness = dichromatic_number_exact(G)
     assert (value, witness.bits) == (2, 18)
-    assert len(codes) <= 19
+    assert codes == [0, 18]
     # every earlier code is acyclic, so 18 is the first maximum of the full search
     full = G.full_mask
     assert [dfs_has_cycle(G.n, Digraph(G, c).arcs(), full) for c in range(19)] == [False] * 18 + [True]
+
+
+def _pool_graphs():
+    # seeded non-forests with n <= 7 and 9 <= m <= 12.  Every other one
+    # contains K5: degeneracy 4 gives the bound 3, which no orientation with
+    # at most 12 edges reaches, so the whole search runs and covers of two
+    # parts are pooled and checked
+    rng = random.Random(71)
+    graphs = []
+    while len(graphs) < 8:
+        n = rng.randint(5, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = rng.randint(9, min(12, len(pairs)))
+        core = list(combinations(sorted(rng.sample(range(n), 5)), 2)) if len(graphs) % 2 else []
+        rest = [e for e in rng.sample(pairs, len(pairs)) if e not in core]
+        graphs.append(Graph(n, core + rest[: m - len(core)]))
+    return graphs
+
+
+def _first_sampled_maximum(G, trials, seed, value):
+    # the pool-free search: every sample evaluated, the first maximum kept
+    best, witness = 0, None
+    for i in range(trials):
+        D = random_orientation(G, derive_rng(seed, i))
+        c = value(D)
+        if c > best:
+            best, witness = c, D
+    return best, witness
+
+
+def test_pooled_search_matches_bruteforce_first_maximum():
+    full_searches = 0
+    for G in _pool_graphs():
+        values = [brute_digraph_chromatic(G.n, Digraph(G, code).arcs())
+                  for code in range(1 << len(G.edges))]
+        best = max(values)
+        assert dichromatic_number_exact(G) == (best, Digraph(G, values.index(best)))
+        full_searches += best < degeneracy_coloring(G)[0] // 2 + 1
+    assert full_searches >= 4
+
+
+def test_pooled_sampled_search_matches_pool_free_loop(monkeypatch):
+    # fractional_dichromatic returns no witness, so record the search's
+    searches = []
+    real = coloring._best_orientation
+
+    def recorded(*args):
+        searches.append(real(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(coloring, "_best_orientation", recorded)
+    for seed, G in enumerate(_pool_graphs()):
+        for trials in (1, 5, 37, 300):
+            expected = _first_sampled_maximum(G, trials, seed, digraph_chromatic_number)
+            assert dichromatic_lower_bound_mc(G, trials=trials, seed=seed) == expected
+            expected = _first_sampled_maximum(G, trials, seed, digraph_fractional_chromatic)
+            assert fractional_dichromatic(G, trials=trials, seed=seed) == expected[0]
+            assert searches[-1] == expected
 
 
 def test_fractional_dichromatic_is_bruteforce_maximum():
@@ -296,7 +380,6 @@ def test_fractional_independence_examples():
 
 
 def test_fractional_independence_weighting_is_witness():
-    from dicolor.families import maximal_independent_sets
     from dicolor.sparse import Weighting
 
     rng = random.Random(21)
