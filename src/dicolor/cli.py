@@ -4,9 +4,9 @@ Subcommands map one-to-one onto library operations; every run prints a
 strict JSON report (rationals as "p/q" strings, non-finite floats as
 "inf", "-inf" or "nan") to stdout, errors go to stderr.
 Exit codes: 0 success, 1 property/certification failure, 2 budget
-exceeded, 3 invalid input (usage errors included).  Identical
-invocations with the same seed reproduce identical result fields; only
-timings vary.
+exceeded (running out of memory included), 3 invalid input (usage errors
+included).  Identical invocations with the same seed reproduce identical
+result fields; only timings vary.
 """
 
 from __future__ import annotations
@@ -351,6 +351,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         sizes = {"needed": format_count(exc.needed), "limit": format_count(exc.limit)}
         _emit_error("budget-exceeded", str(exc), sizes)
+        return EXIT_BUDGET
+    except MemoryError:
+        # an input that passes every gate can still outgrow the machine
+        _emit_error("budget-exceeded", "out of memory", {})
         return EXIT_BUDGET
     except (GraphFormatError, InputError, FileNotFoundError) as exc:
         _emit_error("invalid-input", str(exc), {})

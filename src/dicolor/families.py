@@ -17,20 +17,15 @@ from .graphs import is_acyclic  # noqa: F401  (still bound here; perfbench's tra
 COLUMN_CAP = 1 << 20
 
 
-def is_independent(G: Graph, mask: int) -> bool:
-    for v in iter_bits(mask):
-        if G.adj[v] & mask:
-            return False
-    return True
-
-
 def maximal_independent_sets(
     G: Graph, within: int | None = None, containing: int | None = None
 ) -> Iterator[int]:
     """Yield all maximal independent sets of G[within] as bit masks.
 
     With ``containing=v`` only the maximal sets through vertex ``v`` are
-    produced.  Enumeration order is deterministic.
+    produced.  Enumeration order is deterministic.  The sets are collected
+    by a plain recursion before the first one is yielded, so stopping early
+    saves no enumeration work.
     """
     S = G.full_mask if within is None else within
     if S == 0:
@@ -40,32 +35,42 @@ def maximal_independent_sets(
     # cliques of this relation
     compat = [~G.adj[v] & S & ~(1 << v) for v in range(G.n)]
 
-    def bk(R: int, P: int, X: int) -> Iterator[int]:
+    out: list[int] = []
+
+    def bk(R: int, P: int, X: int) -> None:
         if not P and not X:
-            yield R
+            out.append(R)
             return
         pivot = -1
         best = -1
-        for u in iter_bits(P | X):
+        rest = P | X
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             c = (P & compat[u]).bit_count()
             if c > best:
                 best = c
                 pivot = u
-        for v in iter_bits(P & ~compat[pivot]):
-            vm = 1 << v
-            yield from bk(R | vm, P & compat[v], X & compat[v])
+        branch = P & ~compat[pivot]
+        while branch:
+            vm = branch & -branch
+            branch ^= vm
+            v = vm.bit_length() - 1
+            bk(R | vm, P & compat[v], X & compat[v])
             P &= ~vm
             X |= vm
 
     try:
         if containing is None:
-            yield from bk(0, S, 0)
+            bk(0, S, 0)
         else:
             if not (S >> containing) & 1:
                 raise InputError(f"anchor vertex {containing} is outside the ground set")
-            yield from bk(1 << containing, compat[containing], 0)
+            bk(1 << containing, compat[containing], 0)
     finally:
         del bk  # bk refers to itself: drop the cycle so reference counting frees it
+    yield from out
 
 
 def maximal_acyclic_sets(

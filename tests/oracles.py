@@ -3,17 +3,23 @@
 Everything here deliberately avoids the library's algorithms: LP values
 come from basic-solution enumeration instead of simplex, cycle detection
 is DFS-based instead of source peeling, and maximal families come from
-direct subset scans.  Slow and only meant for tiny instances.  The one
-exception is ``fraction_simplex_max``, the dense Fraction tableau that the
-library's integer-pivoting simplex must match pivot for pivot.
+direct subset scans.  Slow and only meant for tiny instances, except
+``milp_chromatic``, an integer program that scipy's HiGHS solves at the
+24-vertex budget.  Two references copy replaced library code instead:
+``fraction_simplex_max``, the dense Fraction tableau that the library's
+integer-pivoting simplex must match pivot for pivot, and
+``generator_maximal_independent_sets``, the ``yield from`` Bron-Kerbosch
+whose order the list-built one must keep set for set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterator
 
 from dicolor.errors import InputError
+from dicolor.graphs import Graph, iter_bits
 from dicolor.simplex import UnboundedError
 
 
@@ -73,6 +79,49 @@ def brute_maximal_independent_sets(n: int, edges: list[tuple[int, int]]) -> set[
         if not any((m | (1 << v)) in ind_set for v in range(n) if not (m >> v) & 1):
             out.add(m)
     return out
+
+
+def is_independent(G: Graph, mask: int) -> bool:
+    for v in iter_bits(mask):
+        if G.adj[v] & mask:
+            return False
+    return True
+
+
+def generator_maximal_independent_sets(
+    G: Graph, within: int | None = None, containing: int | None = None
+) -> Iterator[int]:
+    """Bron-Kerbosch with pivoting as a chain of ``yield from`` generators:
+    the order ``maximal_independent_sets`` must keep."""
+    S = G.full_mask if within is None else within
+    if S == 0:
+        yield 0
+        return
+    compat = [~G.adj[v] & S & ~(1 << v) for v in range(G.n)]
+
+    def bk(R: int, P: int, X: int) -> Iterator[int]:
+        if not P and not X:
+            yield R
+            return
+        pivot = -1
+        best = -1
+        for u in iter_bits(P | X):
+            c = (P & compat[u]).bit_count()
+            if c > best:
+                best = c
+                pivot = u
+        for v in iter_bits(P & ~compat[pivot]):
+            vm = 1 << v
+            yield from bk(R | vm, P & compat[v], X & compat[v])
+            P &= ~vm
+            X |= vm
+
+    if containing is None:
+        yield from bk(0, S, 0)
+    else:
+        if not (S >> containing) & 1:
+            raise InputError(f"anchor vertex {containing} is outside the ground set")
+        yield from bk(1 << containing, compat[containing], 0)
 
 
 def dfs_has_cycle(n: int, arcs: list[tuple[int, int]], within: int) -> bool:
@@ -149,6 +198,70 @@ def brute_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+def milp_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
+    """Chromatic number from a colouring integer program solved by HiGHS.
+
+    Binary x[v, c] puts v in class c and y[c] opens class c, for c below
+    the size k of a greedy colouring; minimise the open classes subject to
+    one class per vertex, x[u, c] + x[v, c] <= y[c] on every edge and
+    x[v, c] <= y[c].  Classes open in order (y[c] >= y[c + 1]) and the
+    vertices of one maximum clique are fixed to distinct classes, which
+    keeps every optimum and cuts the symmetric copies.
+    """
+    import networkx as nx
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    if n == 0:
+        return 0
+    if not edges:
+        return 1
+    H = nx.Graph()
+    H.add_nodes_from(range(n))
+    H.add_edges_from(edges)
+    k = max(nx.greedy_color(H, strategy="largest_first").values()) + 1
+    size = n * k + k
+
+    def x(v: int, c: int) -> int:
+        return v * k + c
+
+    def y(c: int) -> int:
+        return n * k + c
+
+    rows: list[dict[int, int]] = []
+    lower: list[float] = []
+    for v in range(n):
+        rows.append({x(v, c): 1 for c in range(k)})
+        lower.append(1)
+    for c in range(k):
+        for u, v in edges:
+            rows.append({x(u, c): 1, x(v, c): 1, y(c): -1})
+        for v in range(n):
+            rows.append({x(v, c): 1, y(c): -1})
+        if c + 1 < k:
+            rows.append({y(c + 1): 1, y(c): -1})
+    lower += [-np.inf] * (len(rows) - n)
+    upper = [1] * n + [0] * (len(rows) - n)
+    entries = [(i, j, a) for i, row in enumerate(rows) for j, a in row.items()]
+    i, j, a = zip(*entries)
+    A = coo_matrix((a, (i, j)), shape=(len(rows), size)).tocsr()
+    fixed = np.zeros(size)
+    for c, v in enumerate(max(nx.find_cliques(H), key=len)):
+        fixed[x(v, c)] = 1
+    cost = np.zeros(size)
+    cost[n * k:] = 1
+    res = milp(
+        cost,
+        constraints=LinearConstraint(A, lower, upper),
+        integrality=np.ones(size),
+        bounds=Bounds(fixed, np.ones(size)),
+    )
+    if not res.success:
+        raise RuntimeError(f"colouring ILP not solved: {res.message}")
+    return round(res.fun)
 
 
 def fractional_chromatic_bruteforce(n: int, edges: list[tuple[int, int]]) -> Fraction:

@@ -225,10 +225,12 @@ def test_union_bound_with_large_denominator_ends():
     ["construct", "kneser", "100000", "50000"],
     ["compute", "dichi", "K200"],
     ["compute", "dichif", "K200"],
+    ["construct", "complete", "30000"],
 ])
 def test_huge_sizes_are_budget_errors(tmp_path, argv):
     # 2^19900 and C(100000, 50000) pass Python's int-to-str digit limit, and
-    # the Kneser bounds once built integers of about n bits before any guard
+    # the Kneser bounds once built integers of about n bits before any guard;
+    # K_30000's edge list passes no gate and fills the 2 GB limit instead
     k200 = write(tmp_path, "k200.json", json.dumps(graph_to_dict(complete_graph(200))))
     done = run_cli_process(*[k200 if a == "K200" else a for a in argv])
     assert done.returncode == 2, done.stderr

@@ -6,6 +6,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -44,6 +45,7 @@ from oracles import (
     dfs_has_cycle,
     digraph_fractional_bruteforce,
     fractional_chromatic_bruteforce,
+    milp_chromatic,
 )
 
 
@@ -74,8 +76,10 @@ def test_min_cover_parts_are_an_admissible_cover():
     rng = random.Random(17)
     for _ in range(40):
         G = _random_graph(rng)
+        # any branch vertex of S will do, each call must just pick the same one
         count, parts = coloring._min_cover(
-            G.full_mask, lambda S, v: maximal_independent_sets(G, within=S, containing=v)
+            G.full_mask,
+            lambda S: maximal_independent_sets(G, within=S, containing=S.bit_length() - 1),
         )
         assert count == len(parts) == brute_chromatic(G.n, list(G.edges))
         assert all(not G.adj[v] & part for part in parts for v in range(G.n) if part >> v & 1)
@@ -85,6 +89,50 @@ def test_min_cover_parts_are_an_admissible_cover():
         assert count == len(parts) == brute_digraph_chromatic(G.n, D.arcs())
         assert not any(dfs_has_cycle(G.n, D.arcs(), part) for part in parts)
         assert reduce(or_, parts, 0) == G.full_mask
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for H in graphs:
+        edges += [(u + offset, v + offset) for u, v in H.edges]
+        offset += H.n
+    return Graph(offset, edges)
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _low_degree_first(G):
+    # relabel so that vertex 0 has the lowest degree: the lowest-index
+    # branch vertex is then the worst one
+    order = sorted(range(G.n), key=lambda v: G.adj[v].bit_count())
+    label = {v: i for i, v in enumerate(order)}
+    return Graph(G.n, [(label[u], label[v]) for u, v in G.edges])
+
+
+def test_chromatic_matches_ilp_up_to_the_budget():
+    # the colouring ILP shares no code with the cover recursion or the
+    # Bron-Kerbosch enumeration
+    for n in (12, 18, 21, 24):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            G = _gnp(n, p, 43 * n)
+            assert chromatic_number(G) == milp_chromatic(G.n, list(G.edges)), (n, p)
+
+
+@pytest.mark.parametrize("G, chi", [
+    pytest.param(_disjoint_union(*[complete_graph(3)] * 8), 3, id="8xK3"),
+    pytest.param(_disjoint_union(*[complete_graph(3)] * 6, complete_graph(6)), 6, id="6xK3+K6"),
+    pytest.param(_disjoint_union(*[cycle_graph(5)] * 4, complete_graph(4)), 4, id="4xC5+K4"),
+    pytest.param(Graph(23, list(nx.mycielski_graph(5).edges())), 5, id="Mycielski-M5"),
+    pytest.param(_low_degree_first(_gnp(24, 0.3, 7)), None, id="G(24,0.3)-low-degree-first"),
+    pytest.param(_low_degree_first(_gnp(24, 0.6, 8)), None, id="G(24,0.6)-low-degree-first"),
+])
+def test_chromatic_named_cases(G, chi):
+    want = milp_chromatic(G.n, list(G.edges))
+    assert chi is None or want == chi
+    assert chromatic_number(G) == want
 
 
 def test_chromatic_budget():

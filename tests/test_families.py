@@ -1,20 +1,22 @@
 """Maximal independent / maximal acyclic set enumeration."""
 
 import gc
+import inspect
 import random
 
 import pytest
 
 from dicolor.coloring import chromatic_number, digraph_chromatic_number
 from dicolor.errors import BudgetExceededError
-from dicolor.families import (
-    is_independent,
-    maximal_acyclic_sets,
-    maximal_independent_sets,
-)
+from dicolor.families import maximal_acyclic_sets, maximal_independent_sets
 from dicolor.graphs import Digraph, Graph, complete_graph, cycle_graph, random_orientation
 
-from oracles import brute_maximal_acyclic_sets, brute_maximal_independent_sets
+from oracles import (
+    brute_maximal_acyclic_sets,
+    brute_maximal_independent_sets,
+    generator_maximal_independent_sets,
+    is_independent,
+)
 
 
 def _random_graph(rng, n_max=7, p=0.5):
@@ -67,6 +69,26 @@ def test_mis_within_and_containing():
         v = (S & -S).bit_length() - 1
         anchored = set(maximal_independent_sets(G, within=S, containing=v))
         assert anchored == {m for m in want if (m >> v) & 1}
+
+
+def test_mis_order_matches_generator_reference():
+    # the chif LP columns, and so every cover and dual it returns, follow
+    # this order; it stays a generator function, the public interface that
+    # callers iterate and the benchmark's tracer counts yields of
+    assert inspect.isgeneratorfunction(maximal_independent_sets)
+    rng = random.Random(29)
+    for _ in range(60):
+        G = _random_graph(rng, n_max=16, p=rng.choice((0.2, 0.5, 0.8)))
+        assert list(maximal_independent_sets(G)) == list(generator_maximal_independent_sets(G))
+        S = rng.getrandbits(G.n)
+        assert list(maximal_independent_sets(G, within=S)) == list(
+            generator_maximal_independent_sets(G, within=S)
+        )
+        for v in range(G.n):
+            if (S >> v) & 1:
+                assert list(maximal_independent_sets(G, within=S, containing=v)) == list(
+                    generator_maximal_independent_sets(G, within=S, containing=v)
+                )
 
 
 def test_mis_edgeless_and_complete():
