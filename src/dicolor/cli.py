@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations; every run prints a
-strict JSON report (rationals as "p/q" strings, non-finite floats as
-"inf", "-inf" or "nan") to stdout, errors go to stderr.
+strict JSON report on one line (rationals as "p/q" strings, non-finite
+floats as "inf", "-inf" or "nan") to stdout, errors go to stderr.
 Exit codes: 0 success, 1 property/certification failure, 2 budget
 exceeded (running out of memory included), 3 invalid input (usage errors
 included).  Identical invocations with the same seed reproduce identical
@@ -12,6 +12,7 @@ result fields; only timings vary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,10 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+# reports print as one line without blanks: a certify report is about
+# 0.9 KB, against 3.2 KB with indent=2, which matters to callers that keep
+# many of them
+_COMPACT = (",", ":")
 
 
 def _ser(value):
@@ -59,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call;
+    ``parse_args`` fills a fresh namespace on every call."""
     p = _Parser(prog="dicolor", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized runs")
@@ -230,6 +238,9 @@ def _run_construct(args) -> tuple[dict, int]:
         payload = graph_to_dict(G)
     elif args.what == "complete":
         (n,) = _int_args(args.args, 1, "construct complete")
+        limit = args.budget or constructions.CONSTRUCT_VERTEX_BUDGET
+        if n > limit:
+            raise BudgetExceededError("complete graph construction", n, limit)
         payload = graph_to_dict(complete_graph(n))
     elif args.what == "blowup":
         if len(args.args) != 2:
@@ -371,13 +382,13 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": _ser(body.get("verdicts", {})),
             "timings": {"seconds": round(time.perf_counter() - started, 6)},
         }
-        print(json.dumps(report, indent=2, allow_nan=False))
+        print(json.dumps(report, separators=_COMPACT, allow_nan=False))
     return code
 
 
 def _emit_error(kind: str, message: str, extra: dict) -> None:
     payload = {"error": {"kind": kind, "message": message, **extra}}
-    print(json.dumps(payload, indent=2, allow_nan=False), file=sys.stderr)
+    print(json.dumps(payload, separators=_COMPACT, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterator
 
 from .errors import BudgetExceededError, ClassificationGapError, InputError
-from .graphs import Graph, average_degree, iter_bits, mask_of
+from .graphs import Graph, average_degree, iter_bits
 
 SEARCH_CAP = 1 << 20
 
@@ -228,23 +227,54 @@ def _principal_dense_sets(
     """Yield the k-subsets of prefix(t*k) & within (k <= k_max) of average
     degree >= d, by size and then lexicographically in rank order.
 
-    The running candidate count is checked against ``cap`` before each
-    size is scanned, so a set found earlier is still yielded.
+    A k-set W is dense exactly when 2 e(G[W]) >= ceil(d*k), that is when
+    twice its non-edges stay within slack = k(k-1) - ceil(d*k).  Each size
+    is a depth-first search over the prefix that carries twice the
+    non-edges of the partial set; adding v raises it by
+    2(|W| - |adj(v) & W|), and since it never falls, a branch is cut as
+    soon as it passes the slack.  The running candidate count
+    sum C(|prefix|, k) is checked against ``cap`` before each size is
+    scanned, so a set found earlier is still yielded.
     """
+    adj = G.adj
     total = 0
     for k in range(1, k_max + 1):
         P = order.prefix(t * k) & within
         verts = [v for v in order.order if (P >> v) & 1]
-        if len(verts) < k:
+        m = len(verts)
+        if m < k:
             continue
-        total += comb(len(verts), k)
+        total += comb(m, k)
         if total > cap:
             raise BudgetExceededError("principal-dense search", total, cap)
-        need = d * k  # average degree >= d  <=>  2 e(G[W]) >= d |W|
-        for combo in combinations(verts, k):
-            W = mask_of(combo)
-            if sum((G.adj[v] & W).bit_count() for v in combo) >= need:
-                yield W
+        slack = k * (k - 1) - math.ceil(d * k)
+        if slack < 0:
+            continue
+        # level j holds the first j chosen vertices: their mask, twice their
+        # non-edges, and the index of the next vertex to try at level j
+        masks = [0] * k
+        non = [0] * k
+        nxt = [0] * k
+        last = k - 1
+        j = 0
+        while j >= 0:
+            i = nxt[j]
+            if i > m - k + j:
+                j -= 1
+                continue
+            nxt[j] = i + 1
+            v = verts[i]
+            W = masks[j]
+            c = non[j] + 2 * (j - (adj[v] & W).bit_count())
+            if c > slack:
+                continue
+            if j == last:
+                yield W | (1 << v)
+            else:
+                j += 1
+                masks[j] = W | (1 << v)
+                non[j] = c
+                nxt[j] = i + 1
 
 
 def degeneracy_coloring(G: Graph, within: int | None = None) -> tuple[int, list[int | None]]:

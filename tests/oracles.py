@@ -9,17 +9,20 @@ direct subset scans.  Slow and only meant for tiny instances, except
 ``fraction_simplex_max``, the dense Fraction tableau that the library's
 integer-pivoting simplex must match pivot for pivot, and
 ``generator_maximal_independent_sets``, the ``yield from`` Bron-Kerbosch
-whose order the list-built one must keep set for set.
+whose order the list-built one must keep set for set, and
+``combinations_principal_dense_sets``, the subset scan whose sets, order
+and cap refusals the depth-first principal-dense search must keep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Iterator
 
-from dicolor.errors import InputError
-from dicolor.graphs import Graph, iter_bits
+from dicolor.errors import BudgetExceededError, InputError
+from dicolor.graphs import Graph, iter_bits, mask_of
 from dicolor.simplex import UnboundedError
 
 
@@ -122,6 +125,28 @@ def generator_maximal_independent_sets(
         if not (S >> containing) & 1:
             raise InputError(f"anchor vertex {containing} is outside the ground set")
         yield from bk(1 << containing, compat[containing], 0)
+
+
+def combinations_principal_dense_sets(
+    G: Graph, order, t: Fraction, d: Fraction, within: int, k_max: int, cap: int
+) -> Iterator[int]:
+    """Every k-subset of prefix(t*k) & within (k <= k_max) scored with
+    ``combinations`` against d*k: the order ``_principal_dense_sets`` must
+    keep, with the same cap check before each size."""
+    total = 0
+    for k in range(1, k_max + 1):
+        P = order.prefix(t * k) & within
+        verts = [v for v in order.order if (P >> v) & 1]
+        if len(verts) < k:
+            continue
+        total += comb(len(verts), k)
+        if total > cap:
+            raise BudgetExceededError("principal-dense search", total, cap)
+        need = d * k  # average degree >= d  <=>  2 e(G[W]) >= d |W|
+        for combo in combinations(verts, k):
+            W = mask_of(combo)
+            if sum((G.adj[v] & W).bit_count() for v in combo) >= need:
+                yield W
 
 
 def dfs_has_cycle(n: int, arcs: list[tuple[int, int]], within: int) -> bool:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import dicolor
-from dicolor.cli import _ser, main
+from dicolor.cli import _parser, _ser, main
 from dicolor.errors import GraphFormatError, format_count
 from dicolor.io import (
     build_digraph,
@@ -327,6 +327,88 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: dicolor" in capsys.readouterr().out
+
+
+def test_parser_is_built_lazily_once_and_keeps_no_state(tmp_path, capsys):
+    # importing the CLI builds no parser; the first main call builds the one
+    # parser of the process, and no option or default of one call reaches
+    # the next
+    src = os.path.dirname(os.path.dirname(dicolor.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import dicolor.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30,
+    )
+    assert done.stdout.strip() == "0", done.stderr
+    k3 = write(tmp_path, "k3.json", K3_JSON)
+    k4 = write(tmp_path, "k4.json", json.dumps(graph_to_dict(complete_graph(4))))
+    parser = _parser()
+
+    code, out, _ = run_cli(capsys, "compute", "dichi", k4, "--mode", "mc", "--trials", "5",
+                           "--seed", "9", "--budget", "30")
+    rep = json.loads(out)
+    assert code == 0 and rep["seed"] == 9 and rep["params"] == {"budget": 30}
+    assert "dichi_lower_bound" in rep["results"]
+
+    code, out, _ = run_cli(capsys, "compute", "dichi", k4)
+    rep = json.loads(out)
+    assert code == 0 and rep["seed"] == 0 and rep["params"] == {"budget": None}
+    assert set(rep["results"]) == {"dichi", "witness_arcs"}
+
+    code, _, err = run_cli(capsys, "certify", k4, "--t", "4", "--d", "2", "--max-tries", "2")
+    assert code == 1 and json.loads(err)["error"]["tries"] == 2
+    code, _, err = run_cli(capsys, "certify", k4, "--t", "4", "--d", "2")
+    assert code == 1 and json.loads(err)["error"]["tries"] == 64
+
+    code, out, _ = run_cli(capsys, "construct", "complete", "3", "--out", str(tmp_path / "k.json"))
+    assert code == 0 and json.loads(out)["results"] == {"written": str(tmp_path / "k.json")}
+    code, _, err = run_cli(capsys, "compute", "chi", k3, "--threads", "2")
+    assert code == 3 and json.loads(err)["error"]["kind"] == "invalid-input"
+    code, out, _ = run_cli(capsys, "construct", "complete", "3")
+    assert code == 0 and json.loads(out)["results"]["n"] == 3
+
+    code, out, _ = run_cli(capsys, "certificate", k3, "--t", "9/2", "--d", "2")
+    rep = json.loads(out)
+    assert rep["seed"] == 0 and rep["results"]["strict"] is False
+    code, _, err = run_cli(capsys, "certificate", k3)
+    assert code == 3 and "needs --t and --d" in json.loads(err)["error"]["message"]
+    assert _parser() is parser
+
+
+def test_reports_and_errors_are_one_json_line(tmp_path, capsys):
+    path = write(tmp_path, "k3.json", K3_JSON)
+    code, out, _ = run_cli(capsys, "compute", "chif", path)
+    assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["results"]["cover"] == [{"set": [0], "weight": "1/1"},
+                                                   {"set": [1], "weight": "1/1"},
+                                                   {"set": [2], "weight": "1/1"}]
+    code, out, err = run_cli(capsys, "compute", "chi", path, "--budget", "2")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["kind"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "complete", "4097"],
+    ["construct", "complete", "10" + "0" * 30],
+    ["construct", "complete", "6", "--budget", "5"],
+])
+def test_construct_complete_is_gated_before_it_builds(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "budget-exceeded" and error["needed"] == format_count(int(argv[2]))
+    code, out, _ = run_cli(capsys, "construct", "complete", "5", "--budget", "5")
+    assert code == 0 and json.loads(out)["results"]["n"] == 5
+
+
+def test_memory_error_is_a_budget_error(monkeypatch, capsys):
+    # an input that passes every gate can still fill the memory
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr("dicolor.cli._run_bounds", exhaust)
+    code, out, err = run_cli(capsys, "bounds", "complete", "4")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"kind": "budget-exceeded", "message": "out of memory"}}
 
 
 def test_construct_embed(capsys):

@@ -15,9 +15,12 @@ from dicolor.sparse import (
     find_principal_dense,
     is_principal,
     is_sparse,
+    _principal_dense_sets,
     ranked_order,
     sparse_split,
 )
+
+from oracles import combinations_principal_dense_sets
 
 
 def test_ranked_order_examples():
@@ -171,6 +174,46 @@ def test_find_principal_dense_cap_is_lazy():
         find_principal_dense(G, 0b111, w, 2, 1, cap=4)
     with pytest.raises(InputError):
         find_principal_dense(G, 0b10000, w, 2, 1)
+
+
+def _run_dense(gen) -> tuple[list[int], int | None]:
+    """The sets a principal-dense generator yields, and the running count
+    it was refused at (None when it ran to the end)."""
+    got = []
+    try:
+        for W in gen:
+            got.append(W)
+    except BudgetExceededError as exc:
+        return got, exc.needed
+    return got, None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=12), st.data())
+def test_principal_dense_search_matches_the_subset_scan(n, data):
+    # the depth-first search must give the oracle's sets in the oracle's
+    # order, stop at the same first set, and be refused at the same size
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    p = data.draw(st.sampled_from([0.2, 0.5, 0.7, 0.9]))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    G = Graph(n, [e for e in pairs if rng.random() < p])
+    w = Weighting(tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)))
+    order = ranked_order(w)
+    t = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]))
+    d = data.draw(st.sampled_from([
+        Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2),
+        Fraction(7, 3), Fraction(3), Fraction(31, 4),
+    ]))
+    full = (1 << n) - 1
+    within = data.draw(st.sampled_from([full, rng.getrandbits(n)]))
+    k_max = data.draw(st.integers(min_value=0, max_value=n))
+    args = (G, order, t, d, within, k_max)
+    want = list(combinations_principal_dense_sets(*args, 1 << 30))
+    assert list(_principal_dense_sets(*args, 1 << 30)) == want
+    assert next(_principal_dense_sets(*args, 1 << 30), None) == (want[0] if want else None)
+    cap = data.draw(st.integers(min_value=0, max_value=300))
+    assert _run_dense(_principal_dense_sets(*args, cap)) == _run_dense(
+        combinations_principal_dense_sets(*args, cap))
 
 
 def test_find_principal_dense_definitional():
