@@ -251,7 +251,7 @@ def _run_construct(args) -> tuple[dict, int]:
         payload = graph_to_dict(blown)
     else:
         n, k, t, x = _int_args(args.args, 4, "construct embed")
-        wit = constructions.kneser_blowup_embedding(n, k, t, x, case=args.case)
+        wit = constructions.kneser_blowup_embedding(n, k, t, x, case=args.case, **vertex_kw)
         ok, counter = constructions.verify_embedding(wit)
         payload = {
             "params": {"n": n, "k": k, "t": t, "x": x},

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from .errors import BudgetExceededError, DicolorError, InputError
 from .families import maximal_acyclic_sets, maximal_independent_sets
@@ -172,6 +173,17 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     objective, hence at most the best value.  Only an orientation with a
     strictly larger value replaces the best one and the witness, so skipping
     D changes neither the maximum nor the first orientation reaching it.
+
+    The acyclicity of a pooled set S is cached.  It depends only on the arcs
+    inside S, that is, on ``D.bits & E_S``, where E_S marks the edges with
+    both ends in S.  Each pooled set keeps E_S, computed once when its cover
+    enters the pool, with the sub-code and verdict of its last test, and
+    ``is_acyclic`` runs only when ``D.bits & E_S`` has changed.  A cover
+    enters with the verdict True for the D it came from, whose acyclic sets
+    they are.  So every pool decision is the one a fresh test of every set
+    would make, at three more integers per pooled set.  Exact enumeration
+    gets its digraphs from :func:`orientations`, which carries the
+    in-neighbour masks from code to code.
     """
     if trials is not None and trials < 1:
         raise InputError("need at least one trial")
@@ -195,15 +207,35 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     bound = k // 2 + 1
     best = 0
     witness = None
-    pool: list[list[int]] = []
+    # end masks of the edges, to find the edges with both ends in a set
+    ends = [(1 << u) | (1 << v) for u, v in G.edges]
+    # a pooled cover is a list of entries [S, E_S, sub-code, verdict]: E_S
+    # has bit i set when edge i has both ends in S, and the verdict is
+    # is_acyclic on S for orientations whose code agrees with sub-code on E_S
+    pool: list[list[list]] = []
     for D in digraphs:
+        bits = D.bits
         for i, cover in enumerate(pool):
-            if all(is_acyclic(D, S) for S in cover):
-                pool.insert(0, pool.pop(i))
+            for entry in cover:
+                S, E, last, acyclic = entry
+                sub = bits & E
+                if sub != last:
+                    entry[2] = sub
+                    entry[3] = acyclic = is_acyclic(D, S)
+                if not acyclic:
+                    break
+            else:
+                if i:
+                    pool.insert(0, pool.pop(i))
                 break
         else:
             c, cover = value(D)
-            pool.insert(0, cover)
+            entries = []
+            for S in cover:
+                E = sum(1 << j for j, e in enumerate(ends) if S & e == e)
+                # every set of a cover value returns for D is acyclic in D
+                entries.append([S, E, bits & E, True])
+            pool.insert(0, entries)
             del pool[COVER_POOL:]
             if c > best:
                 best = c
@@ -265,16 +297,30 @@ def _check_certificate(
     value: Fraction,
 ) -> None:
     # exact feasibility of both sides plus equal objectives; any failure
-    # here is an internal solver bug, never a property of the input
-    for v in range(n):
-        if cover.coverage(v) < 1:
+    # here is an internal solver bug, never a property of the input.  Every
+    # number is scaled by the lcm L of all their denominators, so the checks
+    # compare integers: 1 becomes L and the value becomes value * L
+    L = lcm(
+        value.denominator,
+        *(wgt.denominator for _, wgt in cover.parts),
+        *(wv.denominator for wv in weighting.values),
+    )
+    target = value.numerator * (L // value.denominator)
+    parts = [(mask, wgt.numerator * (L // wgt.denominator)) for mask, wgt in cover.parts]
+    dual = [wv.numerator * (L // wv.denominator) for wv in weighting.values]
+    coverage = [0] * n
+    for mask, wgt in parts:
+        for v in iter_bits(mask):
+            coverage[v] += wgt
+    for v, total in enumerate(coverage):
+        if total < L:
             raise DicolorError(f"cover certificate violates coverage at vertex {v}")
-    if sum((wgt for _, wgt in cover.parts), Fraction(0)) != value:
+    if sum(wgt for _, wgt in parts) != target:
         raise DicolorError("cover objective mismatch")
     for col in columns:
-        if weighting.of(col) > 1:
+        if sum(dual[v] for v in iter_bits(col)) > L:
             raise DicolorError("dual weighting exceeds 1 on an admissible set")
-    if weighting.total != value:
+    if sum(dual) != target:
         raise DicolorError("dual objective mismatch")
 
 

@@ -123,7 +123,26 @@ def _encode_cell(a: int, b: int, t: int) -> int:
     return (a - 1) * t + b
 
 
-def kneser_blowup_embedding(n: int, k: int, t: int, x: int, case: str = "auto") -> EmbeddingWitness:
+def _comb_capped(n: int, k: int, cap: int) -> int:
+    """C(n, k) for 0 <= k <= n when it is at most ``cap``, else a lower
+    bound on it above ``cap``.
+
+    C(n, j) grows with j up to n / 2 and is at least 2^j there, so the
+    product stops after about log2(cap) steps whatever n and k are.
+    """
+    k = min(k, n - k)
+    c = 1
+    for j in range(k):
+        c = c * (n - j) // (j + 1)
+        if c > cap:
+            break
+    return c
+
+
+def kneser_blowup_embedding(
+    n: int, k: int, t: int, x: int, case: str = "auto",
+    vertex_budget: int = CONSTRUCT_VERTEX_BUDGET,
+) -> EmbeddingWitness:
     """Embed a blow-up of KG(n,k) into KG(nt, kt-x).
 
     Three constructions are available; ``auto`` picks by comparing x and t:
@@ -133,6 +152,11 @@ def kneser_blowup_embedding(n: int, k: int, t: int, x: int, case: str = "auto") 
       power C(kt, x) - k.
     - ``"general"`` (needs x <= k(t-1)): subsets containing X x {1};
       power C(k(t-1), x).
+
+    The witness has C(n, k) * power images, and it is refused against
+    ``vertex_budget`` before any subset is listed.  Both binomials are
+    computed only up to just past 2^64 times the budget, so the gate takes
+    bounded time, and a refusal past 2^64 reports a lower bound.
     """
     if not (0 < k < n):
         raise InputError(f"need 0 < k < n, got k={k}, n={n}")
@@ -140,42 +164,47 @@ def kneser_blowup_embedding(n: int, k: int, t: int, x: int, case: str = "auto") 
         raise InputError(f"need t >= 1 and 0 <= x < k*t, got t={t}, x={x}")
     if case == "auto":
         case = "x<t" if x < t else ("x=t" if x == t else "general")
+    if case == "x<t":
+        if not x < t:
+            raise InputError(f"case 'x<t' needs x < t, got x={x}, t={t}")
+        top, minus = k * t, 0
+    elif case == "x=t":
+        if x != t:
+            raise InputError(f"case 'x=t' needs x = t, got x={x}, t={t}")
+        top, minus = k * t, k
+    elif case == "general":
+        if x > k * (t - 1):
+            raise InputError(f"case 'general' needs x <= k*(t-1), got x={x}")
+        top, minus = k * (t - 1), 0
+    else:
+        raise InputError(f"unknown embedding case {case!r}")
+    cap = vertex_budget << 64
+    power = _comb_capped(top, x, cap + minus) - minus
+    # listing the C(n, k) vertex sets costs that much even when power is 0
+    images_needed = _comb_capped(n, k, cap) * max(power, 1)
+    if images_needed > vertex_budget:
+        raise BudgetExceededError("blow-up embedding", images_needed, vertex_budget)
     size = k * t - x
-    verts = kneser_vertex_sets(n, k)
     images: list[tuple[int, ...]] = []
-    power = None
-    for X in verts:
+    for X in kneser_vertex_sets(n, k):
         cells = sorted(_encode_cell(a, b, t) for a in X for b in range(1, t + 1))
         if case == "x<t":
-            if not x < t:
-                raise InputError(f"case 'x<t' needs x < t, got x={x}, t={t}")
             copies = [tuple(c) for c in combinations(cells, size)]
-            expected = comb(k * t, x)
         elif case == "x=t":
-            if x != t:
-                raise InputError(f"case 'x=t' needs x = t, got x={x}, t={t}")
             column_of = {c: (c - 1) // t + 1 for c in cells}
             copies = [
                 tuple(c)
                 for c in combinations(cells, size)
                 if len({column_of[e] for e in c}) == k
             ]
-            expected = comb(k * t, x) - k
-        elif case == "general":
-            if x > k * (t - 1):
-                raise InputError(f"case 'general' needs x <= k*(t-1), got x={x}")
+        else:
             base = [_encode_cell(a, 1, t) for a in X]
             others = [c for c in cells if c not in base]
             copies = [tuple(sorted(base + list(extra))) for extra in combinations(others, size - k)]
-            expected = comb(k * (t - 1), x)
-        else:
-            raise InputError(f"unknown embedding case {case!r}")
-        if len(copies) != expected:
+        if len(copies) != power:
             raise InputError(
-                f"case {case!r} produced {len(copies)} copies of {X}, expected {expected}"
+                f"case {case!r} produced {len(copies)} copies of {X}, expected {power}"
             )
-        if power is None:
-            power = expected
         images.extend(copies)
     return EmbeddingWitness(
         n=n,
@@ -183,7 +212,7 @@ def kneser_blowup_embedding(n: int, k: int, t: int, x: int, case: str = "auto") 
         t=t,
         x=x,
         case=case,
-        power=power or 0,
+        power=power,
         host_n=n * t,
         host_k=size,
         images=tuple(images),

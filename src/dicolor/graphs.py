@@ -285,9 +285,34 @@ def random_orientation(G: Graph, rng) -> Digraph:
 
 
 def orientations(G: Graph) -> Iterator[Digraph]:
-    """All orientations, enumerated as binary counters over the edge list."""
-    for code in range(1 << len(G.edges)):
-        yield Digraph(G, code)
+    """All orientations, enumerated as binary counters over the edge list.
+
+    Each yielded digraph equals ``Digraph(G, code)`` for code = 0, 1, ...,
+    2^e - 1, but the in-neighbour masks are carried from one code to the
+    next instead of rebuilt from all e edges: going from c - 1 to c
+    reverses exactly the edges in ``c ^ (c - 1)``, the lowest set bit of c
+    and the bits below it, two edges on average.  Reversing edge (u, v)
+    moves one bit from one endpoint's in-mask to the other's, whichever way
+    it pointed, so it toggles both.  Every counter code is in range, so the
+    digraphs skip the constructor's range check.
+    """
+    toggles = [(u, 1 << v, v, 1 << u) for u, v in G.edges]
+    # carries[j]: the edges reversed when the lowest set bit of the code is j - 1
+    carries = [toggles[:j] for j in range(len(toggles) + 1)]
+    inc = [0] * G.n
+    for u, bv, _, _ in toggles:
+        inc[u] |= bv  # code 0 orients every edge (u, v) as v -> u
+    new = Digraph.__new__
+    for code in range(1 << len(toggles)):
+        if code:
+            for u, bv, v, bu in carries[(code ^ (code - 1)).bit_length()]:
+                inc[u] ^= bv
+                inc[v] ^= bu
+        D = new(Digraph)
+        D.graph = G
+        D.bits = code
+        D.in_masks = tuple(inc)
+        yield D
 
 
 def count_acyclic_orientations(G: Graph) -> int:

@@ -7,7 +7,9 @@ Two input formats are accepted:
 * Plain edge list: first line ``n m``, then m lines ``u v`` (0-based).
 
 Rationals are always serialized as "p/q" strings, never as decimals, so
-round trips are exact.
+round trips are exact.  A file may declare at most
+``CONSTRUCT_VERTEX_BUDGET`` vertices, checked as soon as n is read, so no
+list of n entries is built for a larger one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphFormatError, InputError
+from .constructions import CONSTRUCT_VERTEX_BUDGET
+from .errors import BudgetExceededError, GraphFormatError, InputError
 from .graphs import Digraph, Graph
 from .sparse import Weighting
 
@@ -43,6 +46,11 @@ def parse_fraction(text: str) -> Fraction:
         raise GraphFormatError(f"malformed rational {text!r}")
 
 
+def _check_vertex_count(n: int) -> None:
+    if n > CONSTRUCT_VERTEX_BUDGET:
+        raise BudgetExceededError("graph file vertex count", n, CONSTRUCT_VERTEX_BUDGET)
+
+
 def parse_graph_text(text: str) -> GraphFileData:
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -62,6 +70,7 @@ def _parse_json(text: str) -> GraphFileData:
     n = obj["n"]
     if not isinstance(n, int) or n < 0:
         raise GraphFormatError(f"'n' must be a nonnegative integer, got {n!r}")
+    _check_vertex_count(n)
     edges = []
     for i, pair in enumerate(obj["edges"]):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
@@ -100,6 +109,7 @@ def _parse_edge_list(text: str) -> GraphFileData:
         except ValueError:
             raise GraphFormatError(f"non-integer token in {line!r}", line=lineno)
         if header is None:
+            _check_vertex_count(a)
             header = (a, b)
             expect_m = b
         else:

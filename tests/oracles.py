@@ -5,13 +5,18 @@ come from basic-solution enumeration instead of simplex, cycle detection
 is DFS-based instead of source peeling, and maximal families come from
 direct subset scans.  Slow and only meant for tiny instances, except
 ``milp_chromatic``, an integer program that scipy's HiGHS solves at the
-24-vertex budget.  Two references copy replaced library code instead:
+24-vertex budget.  Some references copy replaced library code instead:
 ``fraction_simplex_max``, the dense Fraction tableau that the library's
-integer-pivoting simplex must match pivot for pivot, and
+integer-pivoting simplex must match pivot for pivot,
 ``generator_maximal_independent_sets``, the ``yield from`` Bron-Kerbosch
-whose order the list-built one must keep set for set, and
+whose order the list-built one must keep set for set,
 ``combinations_principal_dense_sets``, the subset scan whose sets, order
-and cap refusals the depth-first principal-dense search must keep.
+and cap refusals the depth-first principal-dense search must keep,
+``fraction_check_certificate``, the Fraction certificate check whose
+verdicts and messages the integer one must keep, and
+``uncached_pooled_search``, the orientation search that calls
+``is_acyclic`` on every pooled set it checks, whose pool decisions the
+cached one must keep.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from dicolor.errors import BudgetExceededError, InputError
-from dicolor.graphs import Graph, iter_bits, mask_of
+from dicolor.errors import BudgetExceededError, DicolorError, InputError
+from dicolor.graphs import Graph, is_acyclic, iter_bits, mask_of
 from dicolor.simplex import UnboundedError
 
 
@@ -380,3 +385,42 @@ def fraction_simplex_max(
             x[bv] = rows[i][-1]
     y = [obj[n + i] for i in range(m)]
     return obj[-1], x, y
+
+
+def fraction_check_certificate(n, columns, cover, weighting, value) -> None:
+    """The Fraction certificate check that ``coloring._check_certificate``
+    replaced: the same four checks and messages, in Fraction sums."""
+    for v in range(n):
+        if cover.coverage(v) < 1:
+            raise DicolorError(f"cover certificate violates coverage at vertex {v}")
+    if sum((wgt for _, wgt in cover.parts), Fraction(0)) != value:
+        raise DicolorError("cover objective mismatch")
+    for col in columns:
+        if weighting.of(col) > 1:
+            raise DicolorError("dual weighting exceeds 1 on an admissible set")
+    if weighting.total != value:
+        raise DicolorError("dual objective mismatch")
+
+
+def uncached_pooled_search(digraphs, value, bound: int, pool_size: int):
+    """The pooled orientation search with no cached verdicts: every pooled
+    set is tested with ``is_acyclic`` each time its cover is checked.
+    Returns the best value, the first digraph reaching it and the codes of
+    the digraphs that ``value`` was called on."""
+    best, witness, evaluated = 0, None, []
+    pool: list[list[int]] = []
+    for D in digraphs:
+        for i, cover in enumerate(pool):
+            if all(is_acyclic(D, S) for S in cover):
+                pool.insert(0, pool.pop(i))
+                break
+        else:
+            evaluated.append(D.bits)
+            c, cover = value(D)
+            pool.insert(0, cover)
+            del pool[pool_size:]
+            if c > best:
+                best, witness = c, D
+                if best >= bound:
+                    break
+    return best, witness, evaluated

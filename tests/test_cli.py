@@ -10,7 +10,7 @@ import pytest
 
 import dicolor
 from dicolor.cli import _parser, _ser, main
-from dicolor.errors import GraphFormatError, format_count
+from dicolor.errors import BudgetExceededError, GraphFormatError, format_count
 from dicolor.io import (
     build_digraph,
     build_graph,
@@ -65,6 +65,15 @@ def test_parse_errors_carry_position():
     with pytest.raises(GraphFormatError) as err:
         parse_graph_text('{"n":2,"edges":[[0,1],]}')
     assert "line" in str(err.value)
+
+
+def test_vertex_count_is_gated_when_the_file_is_read():
+    for text in ("4097 0\n", '{"n": 4097, "edges": [], "weights": ["1"]}',
+                 '{"n": 1' + "0" * 400 + ', "edges": []}'):
+        with pytest.raises(BudgetExceededError):
+            parse_graph_text(text)
+    assert parse_graph_text("4096 0\n").n == 4096
+    assert parse_graph_text('{"n": 4096, "edges": []}').n == 4096
 
 
 def test_duplicate_edge_rejected():
@@ -226,13 +235,23 @@ def test_union_bound_with_large_denominator_ends():
     ["compute", "dichi", "K200"],
     ["compute", "dichif", "K200"],
     ["construct", "complete", "30000"],
+    ["construct", "embed", "1000", "3", "2", "1"],
+    ["construct", "embed", "100", "10", "5", "3"],
+    ["compute", "dichi", "HUGE_N"],
+    ["certify", "HUGE_N", "--t", "1", "--d", "2"],
 ])
 def test_huge_sizes_are_budget_errors(tmp_path, argv):
     # 2^19900 and C(100000, 50000) pass Python's int-to-str digit limit, and
     # the Kneser bounds once built integers of about n bits before any guard;
-    # K_30000's edge list passes no gate and fills the 2 GB limit instead
-    k200 = write(tmp_path, "k200.json", json.dumps(graph_to_dict(complete_graph(200))))
-    done = run_cli_process(*[k200 if a == "K200" else a for a in argv])
+    # K_30000's edge list passes no gate and fills the 2 GB limit instead.
+    # The embeddings listed all C(n, k) subsets before any gate (MemoryError),
+    # and a file declaring 10^8 vertices kept dichi busy past 60 s and made
+    # certify die of MemoryError after 38 s
+    files = {
+        "K200": write(tmp_path, "k200.json", json.dumps(graph_to_dict(complete_graph(200)))),
+        "HUGE_N": write(tmp_path, "huge.json", '{"n": 100000000, "edges": []}'),
+    }
+    done = run_cli_process(*[files.get(a, a) for a in argv])
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert json.loads(done.stderr)["error"]["kind"] == "budget-exceeded"

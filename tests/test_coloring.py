@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import lcm
 from operator import or_
 
 import networkx as nx
@@ -21,7 +22,7 @@ from dicolor.coloring import (
     fractional_dichromatic,
     fractional_independence,
 )
-from dicolor.errors import BudgetExceededError, InputError
+from dicolor.errors import BudgetExceededError, DicolorError, InputError
 from dicolor.graphs import (
     Digraph,
     Graph,
@@ -36,16 +37,20 @@ from dicolor.graphs import (
     star_graph,
 )
 from dicolor.constructions import kneser_graph
-from dicolor.families import maximal_independent_sets
+from dicolor.families import maximal_acyclic_sets, maximal_independent_sets
+from dicolor.sparse import Weighting
 from dicolor.sparse import degeneracy_coloring
 
+import oracles
 from oracles import (
     brute_chromatic,
     brute_digraph_chromatic,
     dfs_has_cycle,
     digraph_fractional_bruteforce,
+    fraction_check_certificate,
     fractional_chromatic_bruteforce,
     milp_chromatic,
+    uncached_pooled_search,
 )
 
 
@@ -253,15 +258,22 @@ def _pool_graphs():
     return graphs
 
 
-def _first_sampled_maximum(G, trials, seed, value):
-    # the pool-free search: every sample evaluated, the first maximum kept
+def _first_maximum(digraphs, value):
+    # the pool-free search: every orientation evaluated, the first maximum kept
     best, witness = 0, None
-    for i in range(trials):
-        D = random_orientation(G, derive_rng(seed, i))
+    for D in digraphs:
         c = value(D)
         if c > best:
             best, witness = c, D
     return best, witness
+
+
+def _samples(G, trials, seed):
+    return [random_orientation(G, derive_rng(seed, i)) for i in range(trials)]
+
+
+def _lower_codes(G):
+    return [Digraph(G, code) for code in range(1 << (len(G.edges) - 1))]
 
 
 def test_pooled_search_matches_bruteforce_first_maximum():
@@ -276,6 +288,7 @@ def test_pooled_search_matches_bruteforce_first_maximum():
 
 
 def test_pooled_sampled_search_matches_pool_free_loop(monkeypatch):
+    # exact mode (the lower half of the codes) and sampled mode (--mode mc);
     # fractional_dichromatic returns no witness, so record the search's
     searches = []
     real = coloring._best_orientation
@@ -284,14 +297,69 @@ def test_pooled_sampled_search_matches_pool_free_loop(monkeypatch):
         searches.append(real(*args))
         return searches[-1]
 
+    families = {}
+
+    def lp_value(D):
+        # digraph_fractional_chromatic, solved once per family
+        key = tuple(sorted(maximal_acyclic_sets(D)))
+        if key not in families:
+            families[key] = digraph_fractional_chromatic(D)
+        return families[key]
+
     monkeypatch.setattr(coloring, "_best_orientation", recorded)
     for seed, G in enumerate(_pool_graphs()):
-        for trials in (1, 5, 37, 300):
-            expected = _first_sampled_maximum(G, trials, seed, digraph_chromatic_number)
-            assert dichromatic_lower_bound_mc(G, trials=trials, seed=seed) == expected
-            expected = _first_sampled_maximum(G, trials, seed, digraph_fractional_chromatic)
+        runs = [(trials, _samples(G, trials, seed)) for trials in (1, 5, 37, 300)]
+        if len(G.edges) <= 12:
+            runs.append((None, _lower_codes(G)))
+        for trials, digraphs in runs:
+            if trials is None:
+                got = dichromatic_number_exact(G)
+            else:
+                got = dichromatic_lower_bound_mc(G, trials=trials, seed=seed)
+            assert got == _first_maximum(digraphs, digraph_chromatic_number)
+            expected = _first_maximum(digraphs, lp_value)
             assert fractional_dichromatic(G, trials=trials, seed=seed) == expected[0]
             assert searches[-1] == expected
+
+
+def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
+    # against the search that tests every pooled set with is_acyclic each
+    # time: the same orientations evaluated, value and witness, with no more
+    # is_acyclic calls, in exact and sampled mode, for dichi and dichif covers
+    calls = []
+    real_is_acyclic = coloring.is_acyclic
+
+    def counted(D, within=None):
+        calls.append(within)
+        return real_is_acyclic(D, within)
+
+    monkeypatch.setattr(coloring, "is_acyclic", counted)
+    monkeypatch.setattr(oracles, "is_acyclic", counted)
+
+    def lp_cover(D):
+        _, cover, _ = coloring._solve_cover_lp(D.graph.n, maximal_acyclic_sets(D))
+        return cover.objective, [mask for mask, _ in cover.parts]
+
+    fewer = 0
+    for seed, G in enumerate(_pool_graphs()):
+        bound = degeneracy_coloring(G)[0] // 2 + 1
+        for trials, digraphs in ((None, _lower_codes(G)), (300, _samples(G, 300, seed))):
+            for value in (coloring._acyclic_cover, lp_cover):
+                evaluated = []
+
+                def recorded(D):
+                    evaluated.append(D.bits)
+                    return value(D)
+
+                calls.clear()
+                best, witness = coloring._best_orientation(G, recorded, trials, seed, 20)
+                cached_calls = len(calls)
+                calls.clear()
+                expected = uncached_pooled_search(digraphs, value, bound, coloring.COVER_POOL)
+                assert (best, witness, evaluated) == expected
+                assert cached_calls <= len(calls)
+                fewer += cached_calls < len(calls)
+    assert fewer >= 16
 
 
 def test_fractional_dichromatic_is_bruteforce_maximum():
@@ -343,6 +411,99 @@ def test_fractional_cover_feasibility_exact():
         for v in range(G.n):
             assert cover.coverage(v) >= 1
         assert all(0 <= w <= 1 for _, w in cover.parts)
+
+
+def _rejection(check, certificate):
+    # the message a certificate check raises, or None when it accepts
+    try:
+        check(*certificate)
+    except DicolorError as exc:
+        return str(exc)
+    return None
+
+
+def _common_denominator(certificate):
+    _, _, cover, weighting, value = certificate
+    fractions = [value, *(wgt for _, wgt in cover.parts), *weighting.values]
+    return lcm(*(f.denominator for f in fractions))
+
+
+def _shift_cover(certificate, j, step):
+    n, columns, cover, weighting, value = certificate
+    parts = list(cover.parts)
+    parts[j] = (parts[j][0], parts[j][1] + step)
+    return n, columns, coloring.CoverSolution(tuple(parts), cover.objective), weighting, value
+
+
+def _shift_dual(certificate, v, step):
+    n, columns, cover, weighting, value = certificate
+    values = list(weighting.values)
+    values[v] += step
+    return n, columns, cover, Weighting(tuple(values)), value
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.booleans(), st.data())
+def test_integer_certificate_check_agrees_with_fraction_check(n, acyclic, data):
+    # every certificate _solve_cover_lp makes, over independent and acyclic
+    # families, and every one-entry shift of it by 1/L or 1/(2L), where L is
+    # its common denominator: both checks accept or raise the same message
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    G = Graph(n, [e for e in pairs if data.draw(st.booleans())])
+    if acyclic:
+        D = Digraph(G, data.draw(st.integers(0, (1 << len(G.edges)) - 1)))
+        columns = maximal_acyclic_sets(D)
+    else:
+        columns = list(maximal_independent_sets(G))
+    value, cover, weighting = coloring._solve_cover_lp(n, columns)
+    certificate = (n, columns, cover, weighting, value)
+    assert _rejection(fraction_check_certificate, certificate) is None
+    L = _common_denominator(certificate)
+    shifted = []
+    for step in (Fraction(1, L), Fraction(-1, L), Fraction(1, 2 * L), Fraction(-1, 2 * L)):
+        shifted += [_shift_cover(certificate, j, step) for j in range(len(cover.parts))]
+        shifted += [_shift_dual(certificate, v, step)
+                    for v in range(n) if weighting.values[v] + step >= 0]
+        shifted.append(certificate[:4] + (value + step,))
+    for candidate in shifted:
+        expected = _rejection(fraction_check_certificate, candidate)
+        assert expected is not None
+        assert _rejection(coloring._check_certificate, candidate) == expected
+
+
+def _named_certificates():
+    tournament = Digraph.from_arcs(
+        complete_graph(5), [(i, (i + d) % 5) for i in range(5) for d in (1, 2)]
+    )
+    yield 5, list(maximal_independent_sets(cycle_graph(5)))
+    yield 10, list(maximal_independent_sets(kneser_graph(5, 2)))
+    yield 5, maximal_acyclic_sets(tournament)
+    directed_c7 = Digraph.from_arcs(cycle_graph(7), [(i, (i + 1) % 7) for i in range(7)])
+    yield 7, maximal_acyclic_sets(directed_c7)
+
+
+def test_certificate_check_rejects_each_shift_by_one_over_den():
+    # a vertex v of positive dual weight has coverage exactly 1, and a part
+    # through v of positive weight has dual weight exactly 1 (complementary
+    # slackness), so one shift by 1/den trips each check on its own
+    for n, columns in _named_certificates():
+        value, cover, weighting = coloring._solve_cover_lp(n, columns)
+        certificate = (n, columns, cover, weighting, value)
+        assert value > 1 and _rejection(coloring._check_certificate, certificate) is None
+        v = next(u for u in range(n) if weighting.values[u] > 0)
+        j = next(i for i, (mask, _) in enumerate(cover.parts) if (mask >> v) & 1)
+        L = _common_denominator(certificate)
+        for step in (Fraction(1, L), Fraction(1, 2 * L)):
+            cases = [
+                (_shift_cover(certificate, j, -step), "violates coverage at vertex"),
+                (_shift_cover(certificate, j, step), "cover objective mismatch"),
+                (_shift_dual(certificate, v, step), "exceeds 1 on an admissible set"),
+                (_shift_dual(certificate, v, -step), "dual objective mismatch"),
+            ]
+            for candidate, message in cases:
+                with pytest.raises(DicolorError, match=message):
+                    coloring._check_certificate(*candidate)
+                assert message in _rejection(fraction_check_certificate, candidate)
 
 
 def test_digraph_fractional_examples():

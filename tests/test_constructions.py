@@ -13,6 +13,7 @@ from dicolor.coloring import (
     fractional_chromatic_with_dual,
 )
 from dicolor.constructions import (
+    _comb_capped,
     _four_m_squared_within,
     KNESER_INEQ_K_BUDGET,
     BlowUpMap,
@@ -122,6 +123,37 @@ def test_embedding_parameter_validation():
         kneser_blowup_embedding(5, 2, 2, 2, case="x<t")  # needs x < t
     with pytest.raises(InputError):
         kneser_blowup_embedding(5, 2, 2, 3, case="general")  # x > k(t-1)
+
+
+def test_embedding_is_gated_before_any_subset_is_listed():
+    # C(n, k) * power images: KG(5, 2) has 10 vertices of power 4
+    assert len(kneser_blowup_embedding(5, 2, 2, 1, vertex_budget=40).images) == 40
+    with pytest.raises(BudgetExceededError) as err:
+        kneser_blowup_embedding(5, 2, 2, 1, vertex_budget=39)
+    assert err.value.needed == 40
+    with pytest.raises(BudgetExceededError) as err:
+        kneser_blowup_embedding(1000, 3, 2, 1)
+    assert err.value.needed == math.comb(1000, 3) * 6
+    # power 0 (x = t = 1) still lists the C(n, k) vertex sets
+    assert kneser_blowup_embedding(5, 2, 1, 1).power == 0
+    with pytest.raises(BudgetExceededError) as err:
+        kneser_blowup_embedding(100, 2, 1, 1)
+    assert err.value.needed == 4950
+    # binomials with millions of digits are not computed: a lower bound past
+    # 2^64 times the budget is refused at once
+    for args in ((10**6, 5 * 10**5, 2, 1), (5, 2, 10**6, 5 * 10**5), (5, 2, 10**6, 10**6)):
+        with pytest.raises(BudgetExceededError) as err:
+            kneser_blowup_embedding(*args)
+        assert err.value.needed > 4096 << 64
+
+
+def test_comb_capped_is_exact_below_the_cap_and_a_lower_bound_above():
+    for n in range(0, 30):
+        for k in range(n + 1):
+            for cap in (0, 1, 7, 100, 10**6):
+                got = _comb_capped(n, k, cap)
+                exact = math.comb(n, k)
+                assert got == exact if exact <= cap else cap < got <= exact
 
 
 def test_embedding_rejects_perturbation():

@@ -104,6 +104,30 @@ def test_random_orientation_single_edge_frequency():
     assert abs(heads - n / 2) <= 3 * sigma
 
 
+def _same_digraphs(got, expected):
+    assert got == expected
+    assert [(D.graph, D.bits, D.in_masks) for D in got] == [
+        (D.graph, D.bits, D.in_masks) for D in expected
+    ]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.data())
+def test_orientations_equal_the_constructor_for_every_code(n, data):
+    # the carried in-masks: every yielded digraph is Digraph(G, code)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in data.draw(st.permutations(pairs)) if data.draw(st.booleans())][:11]
+    G = Graph(n, edges)
+    _same_digraphs(list(orientations(G)), [Digraph(G, c) for c in range(1 << len(G.edges))])
+
+
+def test_orientations_of_edgeless_graphs():
+    for n in (0, 1, 4):
+        G = Graph(n, [])
+        _same_digraphs(list(orientations(G)), [Digraph(G, 0)])
+    assert [D.in_masks for D in orientations(Graph(0, []))] == [()]
+
+
 def test_count_acyclic_orientations_examples():
     assert count_acyclic_orientations(complete_graph(3)) == 6
     assert count_acyclic_orientations(path_graph(3)) == 4
