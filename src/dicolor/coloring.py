@@ -37,6 +37,8 @@ DP_VERTEX_BUDGET = 24
 LP_VERTEX_BUDGET = 20
 ORIENT_EDGE_BUDGET = 20
 COVER_POOL = 8  # covers kept by the orientation search, see _best_orientation
+AUT_MAPS = 4096  # automorphism actions it collects, see _automorphism_maps
+AUT_NODES = 100_000  # nodes of the backtracking that collects them
 
 _INF = float("inf")
 
@@ -139,6 +141,121 @@ def _acyclic_cover(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> tuple[i
     )
 
 
+def _is_bipartite(G: Graph) -> bool:
+    """True when G has no odd cycle: no edge inside a layer of a BFS forest."""
+    seen = 0
+    for root in range(G.n):
+        if (seen >> root) & 1:
+            continue
+        seen |= 1 << root
+        layer = 1 << root
+        while layer:
+            reached = 0
+            for v in iter_bits(layer):
+                if G.adj[v] & layer:
+                    return False
+                reached |= G.adj[v]
+            layer = reached & ~seen
+            seen |= layer
+    return True
+
+
+def _automorphism_maps(G: Graph) -> list[list[int]]:
+    """Actions on orientation codes of automorphisms of G, without the identity.
+
+    An automorphism s sends the orientation with code c to the one with
+    code P(c) ^ F.  P moves the bit of edge {u, v} to the bit of edge
+    {s(u), s(v)}.  F marks the image edges whose ends s puts in the other
+    order, s(u) > s(v), since a set bit stands for the arc leaving the lower
+    end.  An action is a flat list of 16 entries per 4 bits of the code:
+    entry 16 t + x is P of the value x in bits 4t..4t+3, and F is folded
+    into the first 16 entries, so s(c) is the XOR of one entry per 4 bits.
+
+    The backtracking maps the non-isolated vertices in a connected order,
+    each to an unused vertex with the same degree and the same neighbour
+    degrees that is adjacent to exactly the images of its earlier
+    neighbours; isolated vertices stay fixed.  The action on the edges
+    determines s on every non-isolated vertex, so distinct automorphisms
+    found give distinct actions, and only the identity acts as the
+    identity.  The collection stops after ``AUT_MAPS`` actions or
+    ``AUT_NODES`` nodes; the orbit skip of :func:`_best_orientation` is
+    exact with any subset of the actions.
+    """
+    n, edges, adj = G.n, G.edges, G.adj
+    # edge_bit[a][b] is the bit of edge {a, b}, and flipped[a][b] is that
+    # bit when a > b: an edge (u, v), u < v, with s(u) = a and s(v) = b
+    # has its image bit in F
+    edge_bit = [[0] * n for _ in range(n)]
+    flipped = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        edge_bit[u][v] = edge_bit[v][u] = flipped[v][u] = 1 << i
+    deg = [a.bit_count() for a in adj]
+    key = [(deg[v], sorted(deg[u] for u in iter_bits(adj[v]))) for v in range(n)]
+    # each vertex next has the most neighbours among the earlier ones, so
+    # the adjacency test prunes from the second level on
+    order: list[int] = []
+    earlier: list[list[int]] = []  # the earlier neighbours of each
+    placed = 0
+    rest = [v for v in range(n) if deg[v]]
+    while rest:
+        v = max(rest, key=lambda u: ((adj[u] & placed).bit_count(), deg[u]))
+        rest.remove(v)
+        earlier.append([u for u in order if (adj[v] >> u) & 1])
+        order.append(v)
+        placed |= 1 << v
+    candidates = [[(w, 1 << w, adj[w]) for w in order if key[w] == key[v]] for v in order]
+    identity = list(range(n))
+    image = list(range(n))
+    image_bit = [1 << v for v in range(n)]
+    chunks = range(0, len(edges), 4)
+    padding = [0] * (-len(edges) % 4)
+    maps: list[list[int]] = []
+    nodes = 0
+
+    def add_action() -> None:
+        moved = [edge_bit[image[u]][image[v]] for u, v in edges] + padding
+        flip = sum([flipped[image[u]][image[v]] for u, v in edges])
+        action: list[int] = []
+        for t in chunks:
+            a, b, c, d = moved[t:t + 4]
+            ab = a | b
+            cd = c | d
+            action += [0, a, b, ab, c, a | c, b | c, ab | c,
+                       d, a | d, b | d, ab | d, cd, a | cd, b | cd, ab | cd]
+        action[:16] = [x ^ flip for x in action[:16]]
+        maps.append(action)
+
+    def extend(d: int, used: int) -> bool:
+        # order[:d] is mapped onto the vertices in used; the isolated
+        # vertices stay fixed.  False once a limit is reached
+        nonlocal nodes
+        if d == len(order):
+            if image != identity:
+                add_action()
+            return len(maps) < AUT_MAPS
+        want = 0
+        for u in earlier[d]:
+            want |= image_bit[u]
+        v = order[d]
+        for w, bit, nbrs in candidates[d]:
+            if not used & bit and nbrs & used == want:
+                nodes += 1
+                if nodes > AUT_NODES:
+                    return False
+                image[v] = w
+                image_bit[v] = bit
+                if not extend(d + 1, used | bit):
+                    return False
+        return True
+
+    try:
+        extend(0, 0)
+    finally:
+        # extend refers to itself through its closure, as in _min_cover
+        del extend
+    return maps
+
+
 def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budget: int) -> tuple:
     """Largest value over orientations D of G, with the first D reaching it.
 
@@ -160,9 +277,31 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     ``k // 2 + 1`` colours would take ``2 (k // 2 + 1) > k`` earlier
     neighbours.  So chi(D) <= k // 2 + 1, and chi_f(D) <= chi(D).  Every
     value seen before the stop is below the bound, so the witness is still
-    the first orientation reaching the maximum.
+    the first orientation reaching the maximum.  If G is bipartite the stop
+    is at 2: independent sets are acyclic, so chi_f(D) <= chi(D) <= chi(G)
+    = 2, with the same witness argument.  Bipartiteness is tested only when
+    ``k // 2 + 1 > 2``, so searches that already stop at 2 pay nothing.
 
-    Orientations an earlier cover already bounds are skipped without
+    In exact enumeration an orientation D with code c is skipped, before the
+    pool below is checked, when an automorphism s of G maps c to a code c'
+    with min(c', c' ^ (2^e - 1)) < c.  That smaller code is s(D) or its
+    reverse, which have the value of D, and it lies below c < 2^(e-1), so
+    it was visited before D.  Every visited orientation, evaluated or
+    skipped, has a value at most the best value so far, so value(D) is too.
+    So D cannot be the first orientation to reach the maximum, and skipping it
+    changes neither the value nor the witness.  The argument holds for any
+    set of automorphisms, so :func:`_automorphism_maps` may stop
+    collecting them at fixed limits; the one that last skipped a code moves
+    to the front.  They are collected at the first ``value`` call that does
+    not raise the best value.  Until then every evaluated orientation
+    raised it, and such an orientation is the least code of its class under
+    Aut(G) and reversal, which the skip keeps.  And a search that stops at
+    the bound before such a call never pays for the automorphisms: exact
+    ``dichi`` on a graph of degeneracy at most 3 evaluates code 0 and then
+    its first orientation with a directed cycle, and stops there.  Sampled
+    orientations come in no code order and are never skipped this way.
+
+    Orientations an earlier cover already bounds are also skipped without
     calling ``value``.  The last ``COVER_POOL`` covers returned by
     ``value`` are pooled, most recently used first.  Each came from an
     orientation already evaluated, so its objective is at most the best
@@ -201,10 +340,19 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
         # and of the codes c and c ^ (2^e - 1) the one below 2^(e-1) comes
         # first: the first maximum lies in the lower half of the codes
         digraphs = islice(orientations(G), 1 << (m - 1))
+        full = (1 << m) - 1
+        # where each 4-bit chunk of a code sits and where its 16 entries
+        # start in an automorphism action
+        chunks = [(s, 4 * s) for s in range(0, m, 4)]
+        maps = None  # collected at the first value that does not raise the best
     else:
         digraphs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
+        maps = []  # samples come in no code order, so the orbit skip is off
     k, _ = degeneracy_coloring(G)
     bound = k // 2 + 1
+    if bound > 2 and _is_bipartite(G):
+        # independent sets are acyclic, so chi_f(D) <= chi(D) <= chi(G) = 2
+        bound = 2
     best = 0
     witness = None
     # end masks of the edges, to find the edges with both ends in a set
@@ -215,6 +363,20 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     pool: list[list[list]] = []
     for D in digraphs:
         bits = D.bits
+        if maps:
+            at = [((bits >> s) & 15) + start for s, start in chunks]
+            for i, action in enumerate(maps):
+                image = 0
+                for j in at:
+                    image ^= action[j]
+                if image < bits or image ^ full < bits:
+                    if i:
+                        maps.insert(0, maps.pop(i))
+                    break
+            else:
+                i = -1
+            if i >= 0:
+                continue
         for i, cover in enumerate(pool):
             for entry in cover:
                 S, E, last, acyclic = entry
@@ -242,6 +404,8 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
                 witness = D
                 if best >= bound:
                     break
+            elif maps is None:
+                maps = _automorphism_maps(G)
     return best, witness
 
 
@@ -249,7 +413,8 @@ def dichromatic_number_exact(G: Graph, edge_budget: int = ORIENT_EDGE_BUDGET) ->
     """Exact dichromatic number with a maximizing orientation.
 
     Orientations are enumerated as binary counters (the codes below
-    2^(e-1) suffice, by reversal symmetry); raise the budget or fall back
+    2^(e-1) suffice, by reversal symmetry, and codes an automorphism of G
+    maps lower are skipped); raise the budget or fall back
     to :func:`dichromatic_lower_bound_mc` beyond ``edge_budget`` edges.
     """
     return _best_orientation(G, _acyclic_cover, None, 0, edge_budget)

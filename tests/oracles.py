@@ -15,14 +15,15 @@ and cap refusals the depth-first principal-dense search must keep,
 ``fraction_check_certificate``, the Fraction certificate check whose
 verdicts and messages the integer one must keep, and
 ``uncached_pooled_search``, the orientation search that calls
-``is_acyclic`` on every pooled set it checks, whose pool decisions the
-cached one must keep.
+``is_acyclic`` on every pooled set it checks and finds the orbit skip's
+automorphisms by trying every vertex permutation, whose pool and orbit
+decisions the library's search must keep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator
 
@@ -402,14 +403,44 @@ def fraction_check_certificate(n, columns, cover, weighting, value) -> None:
         raise DicolorError("dual objective mismatch")
 
 
-def uncached_pooled_search(digraphs, value, bound: int, pool_size: int):
+def brute_automorphisms(G: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation of G that maps its edge set onto itself."""
+    edges = set(G.edges)
+    return [p for p in permutations(range(G.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in G.edges)]
+
+
+def permuted_code(G: Graph, perm, code: int) -> int:
+    """Code of the orientation whose arcs are perm's images of the arcs of
+    the orientation ``code`` (bit i set: edge (u, v), u < v, is u -> v)."""
+    index = {e: i for i, e in enumerate(G.edges)}
+    out = 0
+    for i, (u, v) in enumerate(G.edges):
+        a, b = (perm[u], perm[v]) if (code >> i) & 1 else (perm[v], perm[u])
+        if a < b:
+            out |= 1 << index[(a, b)]
+    return out
+
+
+def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph | None = None):
     """The pooled orientation search with no cached verdicts: every pooled
     set is tested with ``is_acyclic`` each time its cover is checked.
     Returns the best value, the first digraph reaching it and the codes of
-    the digraphs that ``value`` was called on."""
+    the digraphs that ``value`` was called on.
+
+    With ``G`` (exact mode, the codes in counter order) it also replays the
+    orbit skip: from the first ``value`` that does not raise the best on, a
+    code c is skipped before the pool is checked when some automorphism of
+    G maps it to a code c' with min(c', c' ^ (2^e - 1)) < c."""
     best, witness, evaluated = 0, None, []
     pool: list[list[int]] = []
+    autos = None
     for D in digraphs:
+        if autos:
+            full = (1 << len(G.edges)) - 1
+            images = (permuted_code(G, p, D.bits) for p in autos)
+            if any(min(x, x ^ full) < D.bits for x in images):
+                continue
         for i, cover in enumerate(pool):
             if all(is_acyclic(D, S) for S in cover):
                 pool.insert(0, pool.pop(i))
@@ -423,4 +454,6 @@ def uncached_pooled_search(digraphs, value, bound: int, pool_size: int):
                 best, witness = c, D
                 if best >= bound:
                     break
+            elif G is not None and autos is None:
+                autos = brute_automorphisms(G)
     return best, witness, evaluated

@@ -202,13 +202,13 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def run_cli_process(*argv):
-    """The CLI in a child process, under a 2 GB address-space limit and a 30 s
+def run_cli_process(*argv, timeout=30):
+    """The CLI in a child process, under a 2 GB address-space limit and a
     timeout, so a hang, a MemoryError or a traceback fails the test fast."""
     src = os.path.dirname(os.path.dirname(dicolor.__file__))
     return subprocess.run(
         [sys.executable, "-m", "dicolor.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_limit_memory,
     )
 
 
@@ -255,6 +255,17 @@ def test_huge_sizes_are_budget_errors(tmp_path, argv):
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert json.loads(done.stderr)["error"]["kind"] == "budget-exceeded"
+
+
+def test_kneser_construction_is_gated_before_the_binomial():
+    # C(10^6, 5 * 10^5) was computed exactly before the vertex gate, which
+    # took 8 s; the capped binomial stops once it passes 2^64 times the budget
+    done = run_cli_process("construct", "kneser", "1000000", "500000", timeout=5)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    error = json.loads(done.stderr)["error"]
+    assert error["kind"] == "budget-exceeded"
+    assert error["needed"].startswith(">2^") and error["limit"] == "4096"
 
 
 @pytest.mark.parametrize("argv, code", [

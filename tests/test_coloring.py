@@ -45,11 +45,13 @@ import oracles
 from oracles import (
     brute_chromatic,
     brute_digraph_chromatic,
+    brute_maximal_acyclic_sets,
     dfs_has_cycle,
     digraph_fractional_bruteforce,
     fraction_check_certificate,
     fractional_chromatic_bruteforce,
     milp_chromatic,
+    permuted_code,
     uncached_pooled_search,
 )
 
@@ -194,6 +196,10 @@ K5 = complete_graph(5)
 K5_PENDANT = Graph(6, list(K5.edges) + [(0, 5)])
 
 
+def _biclique(a, b):
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
 def test_dichromatic_exact_witness_is_first_maximum():
     # the witness is the first counter code reaching the maximum; a search
     # that kept a later maximum would return another orientation
@@ -233,9 +239,13 @@ def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
         return real(D)
 
     monkeypatch.setattr(coloring, "_acyclic_cover", counted)
+    # both values raise the best, so the lazy orbit skip never searches Aut(G)
+    started = []
+    monkeypatch.setattr(coloring, "_automorphism_maps", started.append)
     value, witness = dichromatic_number_exact(G)
     assert (value, witness.bits) == (2, 18)
     assert codes == [0, 18]
+    assert started == []
     # every earlier code is acyclic, so 18 is the first maximum of the full search
     full = G.full_mask
     assert [dfs_has_cycle(G.n, Digraph(G, c).arcs(), full) for c in range(19)] == [False] * 18 + [True]
@@ -324,8 +334,10 @@ def test_pooled_sampled_search_matches_pool_free_loop(monkeypatch):
 
 def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
     # against the search that tests every pooled set with is_acyclic each
-    # time: the same orientations evaluated, value and witness, with no more
-    # is_acyclic calls, in exact and sampled mode, for dichi and dichif covers
+    # time and, in exact mode, replays the orbit skip with brute-force
+    # automorphisms: the same orientations evaluated, value and witness, with
+    # no more is_acyclic calls, in exact and sampled mode, for dichi and
+    # dichif covers
     calls = []
     real_is_acyclic = coloring.is_acyclic
 
@@ -355,11 +367,156 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
                 best, witness = coloring._best_orientation(G, recorded, trials, seed, 20)
                 cached_calls = len(calls)
                 calls.clear()
-                expected = uncached_pooled_search(digraphs, value, bound, coloring.COVER_POOL)
+                expected = uncached_pooled_search(
+                    digraphs, value, bound, coloring.COVER_POOL, G if trials is None else None)
                 assert (best, witness, evaluated) == expected
                 assert cached_calls <= len(calls)
                 fewer += cached_calls < len(calls)
     assert fewer >= 16
+
+
+def _act(action, code):
+    # an action from coloring._automorphism_maps applied to a code: one entry
+    # of 16 per 4 bits, XORed
+    image = 0
+    for t in range(0, len(action) // 16):
+        image ^= action[16 * t + ((code >> (4 * t)) & 15)]
+    return image
+
+
+def _action_key(G, f):
+    # a map c -> P(c) ^ F with P linear over GF(2) is fixed by its images of
+    # 0 and of each one-bit code
+    return (f(0),) + tuple(f(1 << i) for i in range(len(G.edges)))
+
+
+def _networkx_actions(G):
+    # the distinct actions on codes of every automorphism networkx finds,
+    # the identity left out
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    actions = set()
+    for iso in nx.algorithms.isomorphism.GraphMatcher(H, H).isomorphisms_iter():
+        perm = [iso[v] for v in range(G.n)]
+        actions.add(_action_key(G, lambda c: permuted_code(G, perm, c)))
+    actions.discard(_action_key(G, lambda c: c))
+    return actions
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_automorphism_maps_are_the_edge_actions_of_aut(n, data):
+    # exactly the non-identity actions of Aut(G), each once; isolated
+    # vertices and K2 components make many automorphisms share an action
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    G = Graph(n, edges)
+    maps = coloring._automorphism_maps(G)
+    keys = [_action_key(G, lambda c, a=a: _act(a, c)) for a in maps]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _networkx_actions(G)
+
+
+def test_automorphism_maps_of_named_graphs():
+    for G, count in ((kneser_graph(5, 2), 119), (_biclique(3, 3), 71), (K5, 119), (K5_PENDANT, 23),
+                     (cycle_graph(7), 13), (Graph(9, [(0, 1), (2, 3), (3, 4)]), 3)):
+        maps = coloring._automorphism_maps(G)
+        assert len(maps) == count
+        assert {_action_key(G, lambda c, a=a: _act(a, c)) for a in maps} == _networkx_actions(G)
+    # K_{2,10} has 2 * 10! automorphisms: the collection stops at the cap,
+    # with distinct actions of automorphisms only
+    G = _biclique(2, 10)
+    maps = coloring._automorphism_maps(G)
+    assert len(maps) == coloring.AUT_MAPS
+    assert len({_action_key(G, lambda c, a=a: _act(a, c)) for a in maps}) == len(maps)
+    for action in maps[::97]:
+        # P permutes the bits, and the image of an orientation is isomorphic
+        # to it
+        flip = _act(action, 0)
+        assert sorted(_act(action, 1 << i) ^ flip for i in range(20)) == [1 << i for i in range(20)]
+        code = 0x5A5A5
+        pair = [nx.DiGraph(Digraph(G, c).arcs()) for c in (code, _act(action, code))]
+        assert nx.is_isomorphic(*pair)
+
+
+def test_mapped_codes_are_isomorphic_orientations():
+    # an orientation and its image, and the image's reverse, have the same
+    # sorted sizes of maximal acyclic sets (brute force)
+    rng = random.Random(67)
+    graphs = [K5, K5_PENDANT, cycle_graph(6), _biclique(3, 3)]
+    while len(graphs) < 10:
+        G = _random_graph(rng, n_max=7, p=0.6)
+        if len(G.edges) >= 3 and coloring._automorphism_maps(G):
+            graphs.append(G)
+
+    def sizes(G, code):
+        return sorted(map(int.bit_count, brute_maximal_acyclic_sets(G.n, Digraph(G, code).arcs())))
+
+    for G in graphs:
+        full = (1 << len(G.edges)) - 1
+        maps = coloring._automorphism_maps(G)
+        for code in rng.sample(range(full + 1), min(6, full + 1)):
+            for action in rng.sample(maps, min(8, len(maps))):
+                image = _act(action, code)
+                assert sizes(G, image) == sizes(G, image ^ full) == sizes(G, code)
+
+
+def _orbit_graphs():
+    # K5, K_{3,3}, C4 plus a chord, and 40 seeded non-forests with at most
+    # 11 edges, for a skip-free search over every lower-half code
+    rng = random.Random(83)
+    graphs = [K5, _biclique(3, 3), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])]
+    while len(graphs) < 43:
+        G = _random_graph(rng, n_max=7, p=rng.choice((0.4, 0.6)))
+        if not is_forest(G) and len(G.edges) <= 11:
+            graphs.append(G)
+    return graphs
+
+
+def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
+    # exact dichi value and witness and dichif value against a loop that
+    # evaluates every code below 2^(e-1) with no pool and no orbit skip
+    started = []
+    real = coloring._automorphism_maps
+    monkeypatch.setattr(coloring, "_automorphism_maps", lambda G: started.append(G) or real(G))
+    families = {}
+
+    def lp_value(D):
+        key = tuple(sorted(maximal_acyclic_sets(D)))
+        if key not in families:
+            families[key] = digraph_fractional_chromatic(D)
+        return families[key]
+
+    for G in _orbit_graphs():
+        codes = _lower_codes(G)
+        assert dichromatic_number_exact(G) == _first_maximum(codes, digraph_chromatic_number)
+        assert fractional_dichromatic(G) == _first_maximum(codes, lp_value)[0]
+    # 24 of the 86 searches reach the lazy start, 23 with a non-trivial Aut(G)
+    assert sum(bool(real(G)) for G in started) >= 20
+
+
+def test_bipartite_search_stops_at_the_first_cyclic_orientation(monkeypatch):
+    # K_{4,4} is 4-degenerate, so the degeneracy stop is at 3, but a
+    # bipartite graph has chi_f(D) <= chi(D) <= 2: the search ends at the
+    # first code with a directed cycle, which is the witness
+    G = _biclique(4, 4)
+    first = next(c for c in range(1 << 16) if dfs_has_cycle(G.n, Digraph(G, c).arcs(), G.full_mask))
+    codes = []
+    real = coloring._acyclic_cover
+
+    def counted(D):
+        codes.append(D.bits)
+        return real(D)
+
+    monkeypatch.setattr(coloring, "_acyclic_cover", counted)
+    value, witness = dichromatic_number_exact(G)
+    assert (value, witness.bits) == (2, first)
+    assert codes[-1] == first
+    assert coloring._is_bipartite(G)
+    assert not coloring._is_bipartite(cycle_graph(5))
+    assert coloring._is_bipartite(Graph(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)]))
+    assert not coloring._is_bipartite(Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)]))
 
 
 def test_fractional_dichromatic_is_bruteforce_maximum():
