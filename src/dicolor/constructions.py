@@ -45,8 +45,8 @@ def kneser_graph(n: int, k: int, vertex_budget: int = CONSTRUCT_VERTEX_BUDGET) -
     """Kneser graph KG(n, k): k-subsets adjacent when disjoint."""
     if k < 1 or n < 1 or k > n:
         raise InputError(f"KG({n},{k}) needs 1 <= k <= n")
-    # exact up to the budget; past it a lower bound, so the gate takes
-    # bounded time where math.comb(10^6, 5 * 10^5) alone takes seconds
+    # exact up to 2^64 times the budget, past that a lower bound, so the gate
+    # takes bounded time where math.comb(10^6, 5 * 10^5) alone takes seconds
     count = _comb_capped(n, k, vertex_budget << 64)
     if count > vertex_budget:
         raise BudgetExceededError("Kneser construction", count, vertex_budget)

@@ -354,7 +354,8 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
 
     fewer = 0
     for seed, G in enumerate(_pool_graphs()):
-        bound = degeneracy_coloring(G)[0] // 2 + 1
+        k, colors = degeneracy_coloring(G)
+        bound = min(k // 2 + 1, max(colors) + 1)
         for trials, digraphs in ((None, _lower_codes(G)), (300, _samples(G, 300, seed))):
             for value in (coloring._acyclic_cover, lp_cover):
                 evaluated = []
@@ -424,6 +425,10 @@ def test_automorphism_maps_of_named_graphs():
         maps = coloring._automorphism_maps(G)
         assert len(maps) == count
         assert {_action_key(G, lambda c, a=a: _act(a, c)) for a in maps} == _networkx_actions(G)
+    # the Frucht graph is cubic with no automorphism but the identity: every
+    # vertex is a candidate for every other, and every other branch dies
+    frucht = Graph(12, sorted(tuple(sorted(e)) for e in nx.frucht_graph().edges()))
+    assert coloring._automorphism_maps(frucht) == []
     # K_{2,10} has 2 * 10! automorphisms: the collection stops at the cap,
     # with distinct actions of automorphisms only
     G = _biclique(2, 10)
@@ -497,10 +502,13 @@ def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
 
 
 def test_bipartite_search_stops_at_the_first_cyclic_orientation(monkeypatch):
-    # K_{4,4} is 4-degenerate, so the degeneracy stop is at 3, but a
-    # bipartite graph has chi_f(D) <= chi(D) <= 2: the search ends at the
-    # first code with a directed cycle, which is the witness
+    # K_{4,4} is 4-degenerate, so the degeneracy stop is at 3, but its
+    # greedy colouring has 2 colours and chi_f(D) <= chi(D) <= chi(G): the
+    # search ends at the first code with a directed cycle, which is the
+    # witness
     G = _biclique(4, 4)
+    k, colors = degeneracy_coloring(G)
+    assert (k, max(colors) + 1) == (4, 2)
     first = next(c for c in range(1 << 16) if dfs_has_cycle(G.n, Digraph(G, c).arcs(), G.full_mask))
     codes = []
     real = coloring._acyclic_cover
@@ -513,10 +521,6 @@ def test_bipartite_search_stops_at_the_first_cyclic_orientation(monkeypatch):
     value, witness = dichromatic_number_exact(G)
     assert (value, witness.bits) == (2, first)
     assert codes[-1] == first
-    assert coloring._is_bipartite(G)
-    assert not coloring._is_bipartite(cycle_graph(5))
-    assert coloring._is_bipartite(Graph(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)]))
-    assert not coloring._is_bipartite(Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2)]))
 
 
 def test_fractional_dichromatic_is_bruteforce_maximum():
