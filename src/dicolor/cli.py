@@ -252,7 +252,7 @@ def _run_construct(args) -> tuple[dict, int]:
     else:
         n, k, t, x = _int_args(args.args, 4, "construct embed")
         wit = constructions.kneser_blowup_embedding(n, k, t, x, case=args.case, **vertex_kw)
-        ok, counter = constructions.verify_embedding(wit)
+        ok, counter = constructions.verify_embedding(wit, **vertex_kw)
         payload = {
             "params": {"n": n, "k": k, "t": t, "x": x},
             "case": wit.case,

@@ -1,14 +1,16 @@
 """Exact coloring invariants for graphs and digraphs.
 
-Integer invariants use a minimum-cover recursion over subsets whose parts
-are maximal admissible sets containing one uncovered vertex: for graphs,
-independent sets through an uncovered vertex of largest degree among the
-uncovered ones; for digraphs, acyclic sets through the lowest uncovered
-vertex, which keeps the covers the orientation search pools (see
-``_min_cover``).  Fractional invariants solve the covering linear program
-in exact rational arithmetic; a single simplex run yields both an optimal
-cover and an optimal dual weighting with identical objectives, which is
-the strong-duality certificate.
+The chromatic number is a decision search between the clique number and
+a greedy colouring: can the uncovered vertices be covered by b independent
+sets, branching on the maximal independent sets through an uncovered vertex
+of largest degree among the uncovered ones, with failures memoised (see
+:func:`chromatic_number`).  The digraph chromatic number is a minimum-cover
+recursion over subsets whose parts are the maximal acyclic sets through the
+lowest uncovered vertex, which keeps the covers the orientation search
+pools (see ``_min_cover``).  Fractional invariants solve the covering
+linear program in exact rational arithmetic; a single simplex run yields
+both an optimal cover and an optimal dual weighting with identical
+objectives, which is the strong-duality certificate.
 """
 
 from __future__ import annotations
@@ -61,14 +63,12 @@ def _min_cover(full: int, parts_for) -> tuple[int, list[int]]:
     order on every call with that ``S``; correctness only needs every
     admissible set to be contained in a maximal one.
 
-    :func:`chromatic_number` branches on a vertex v of largest degree in
-    G[S]: the sets through v are v plus the maximal independent sets of G[S]
-    minus v and its neighbours, the smallest such remainder, so the
-    branching is narrow.  :func:`_acyclic_cover` branches on the lowest
-    vertex of S: the parts it returns are the covers the orientation search
-    pools, so another branch vertex would change which orientations that
-    search evaluates, and the degree rule did not make digraph covers
-    reliably faster (faster on some random orientations, slower on others).
+    :func:`_acyclic_cover` branches on the lowest vertex of S: the parts it
+    returns are the covers the orientation search pools, so another branch
+    vertex would change which orientations that search evaluates, and the
+    largest-degree rule of :func:`chromatic_number` did not make digraph
+    covers reliably faster (faster on some random orientations, slower on
+    others).  The chromatic number no longer uses this recursion.
 
     The memo keeps counts only; the parts are recovered afterwards by walking
     down from ``full`` along the first part that attains each count.
@@ -111,17 +111,111 @@ def _min_cover(full: int, parts_for) -> tuple[int, list[int]]:
 
 
 def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
-    """Exact chromatic number: minimum independent sets covering V."""
+    """Exact chromatic number: minimum independent sets covering V.
+
+    A decision search between two bounds.  The floor is the clique number:
+    a branch and bound over the adjacency masks finds a maximum clique K,
+    colouring the candidates greedily at each node so that a candidate of
+    colour c can add at most c vertices.  The ceiling hi is the colour count
+    of :func:`degeneracy_coloring`; the clique search stops as soon as K
+    has hi vertices, and then nothing else is searched.  Otherwise the
+    search asks, for b = hi - 1, hi - 2, ... down to |K|, whether V is
+    covered by b independent sets, and the first b that fails gives
+    chi = b + 1.
+
+    ``feasible(S, b)`` branches on a vertex v of largest degree in G[S] (the
+    lowest on ties): the parts are v plus the maximal independent sets of
+    G[S] minus v and its neighbours, the smallest such remainder, so the
+    branching is narrow.  It is exact: in a cover of S by b independent
+    sets, the class containing v extends to a maximal independent set M of
+    G[S] through v, and the other b - 1 classes cover S minus M.  A part
+    that leaves R uncovered is cut without a call when R holds more than
+    b - 1 vertices of K, since an independent set holds at most one of
+    them, or when R already failed with b - 1 or more sets: ``fail[R]`` is
+    the largest count proven too small for R, and a count too small stays
+    too small for every smaller one.  Every nonempty R fails with 0 sets,
+    the default.
+
+    The work is bounded by that of the exact minimum over subsets (Lawler
+    1976), which this search replaced: it expands every subset the parts
+    reach, once each (``min_cover_chromatic`` in the test oracles).  A
+    subset S reached after removing d parts keeps at least |K| - d vertices
+    of K and is searched with at most hi - 1 - d sets, so taking the fewest
+    such d, S is searched with one of hi - |K| counts.  It fails with each
+    count at most once, and a success ends its decision, of which there are
+    at most hi - |K|.  So S is expanded at most 2 (hi - |K|) times.
+    """
     if G.n > vertex_budget:
         raise BudgetExceededError("chromatic-number DP", G.n, vertex_budget)
+    if G.n == 0:
+        return 0
     adj = G.adj
+    full = G.full_mask
+    hi = max(degeneracy_coloring(G)[1]) + 1
+    clique = 0  # the largest clique found so far
 
-    def parts_for(S: int):
-        # a vertex of largest degree in G[S]; max keeps the first, lowest, on ties
+    def grow(R: int, P: int) -> bool:
+        # R is a clique and P its common neighbours; False once a clique of
+        # hi vertices is found, which no clique exceeds
+        nonlocal clique
+        size = R.bit_count()
+        if size > clique.bit_count():
+            clique = R
+            if size == hi:
+                return False
+        # colour P greedily, class by class, lowest vertex first
+        order = []
+        rest = P
+        c = 0
+        while rest:
+            c += 1
+            free = rest
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                free &= ~(adj[v] | low)
+                rest ^= low
+                order.append((c, v, low))
+        # the vertices of P coloured at most c hold a clique of at most c
+        for c, v, low in reversed(order):
+            if size + c <= clique.bit_count():
+                return True
+            if not grow(R | low, P & adj[v]):
+                return False
+            P ^= low
+        return True
+
+    fail: dict[int, int] = {}
+
+    def feasible(S: int, b: int) -> bool:
+        # S is nonempty, with at most b vertices of the clique, and has not
+        # failed with b sets
         v = max(iter_bits(S), key=lambda u: (adj[u] & S).bit_count())
-        return maximal_independent_sets(G, within=S, containing=v)
+        for M in maximal_independent_sets(G, within=S, containing=v):
+            R = S & ~M
+            if not R:
+                return True
+            if (clique & R).bit_count() > b - 1 or fail.get(R, 0) >= b - 1:
+                continue
+            if feasible(R, b - 1):
+                return True
+        fail[S] = b
+        return False
 
-    return _min_cover(G.full_mask, parts_for)[0]
+    try:
+        grow(0, full)
+        # no colouring has fewer colours than the clique, so the decisions
+        # stop there, and none is asked when the clique meets hi
+        chi = clique.bit_count()
+        for b in range(hi - 1, chi - 1, -1):
+            if not feasible(full, b):
+                chi = b + 1
+                break
+    finally:
+        # grow and feasible refer to themselves through their closures, as
+        # in _min_cover; emptying the cells frees the memo now
+        del grow, feasible
+    return chi
 
 
 def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:

@@ -221,14 +221,17 @@ def kneser_blowup_embedding(
     )
 
 
-def verify_embedding(wit: EmbeddingWitness) -> tuple[bool, tuple[int, int] | None]:
+def verify_embedding(
+    wit: EmbeddingWitness, vertex_budget: int = CONSTRUCT_VERTEX_BUDGET
+) -> tuple[bool, tuple[int, int] | None]:
     """Exhaustively check a witness; returns (ok, offending vertex pair).
 
     Valid means: every image is a host vertex, images are pairwise
     distinct, and adjacent blow-up vertices map to disjoint (hence
-    adjacent) host vertices.
+    adjacent) host vertices.  KG(n, k) is built under ``vertex_budget``,
+    the budget the witness was built under.
     """
-    H = kneser_graph(wit.n, wit.k)
+    H = kneser_graph(wit.n, wit.k, vertex_budget)
     m = wit.power
     if len(wit.images) != H.n * m:
         return False, None

@@ -13,7 +13,9 @@ whose order the list-built one must keep set for set,
 ``combinations_principal_dense_sets``, the subset scan whose sets, order
 and cap refusals the depth-first principal-dense search must keep,
 ``fraction_check_certificate``, the Fraction certificate check whose
-verdicts and messages the integer one must keep, and
+verdicts and messages the integer one must keep, ``min_cover_chromatic``,
+the minimum over subsets that the chromatic number's decision search
+replaced, whose work bounds the search's, and
 ``uncached_pooled_search``, the orientation search that calls
 ``is_acyclic`` on every pooled set it checks and finds the orbit skip's
 automorphisms by trying every vertex permutation, whose pool and orbit
@@ -27,7 +29,9 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator
 
+from dicolor.coloring import _min_cover
 from dicolor.errors import BudgetExceededError, DicolorError, InputError
+from dicolor.families import maximal_independent_sets
 from dicolor.graphs import Graph, is_acyclic, iter_bits, mask_of
 from dicolor.simplex import UnboundedError
 
@@ -293,6 +297,20 @@ def milp_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
     if not res.success:
         raise RuntimeError(f"colouring ILP not solved: {res.message}")
     return round(res.fun)
+
+
+def min_cover_chromatic(G: Graph) -> int:
+    """The chromatic number as ``chromatic_number`` computed it before the
+    decision search: the minimum over subsets of ``_min_cover``, branching
+    on the maximal independent sets through a vertex of largest degree in
+    G[S], the lowest on ties."""
+    adj = G.adj
+
+    def parts_for(S: int):
+        v = max(iter_bits(S), key=lambda u: (adj[u] & S).bit_count())
+        return maximal_independent_sets(G, within=S, containing=v)
+
+    return _min_cover(G.full_mask, parts_for)[0]
 
 
 def fractional_chromatic_bruteforce(n: int, edges: list[tuple[int, int]]) -> Fraction:

