@@ -22,6 +22,21 @@ no entry update pays for a gcd.  Only the nonbasic columns are stored
 and the column of the variable that leaves is the one a full tableau
 would compute for it, so a pivot costs (m + 1)(n + 1) updates, not
 (m + 1)(n + m + 1).
+
+When the pivot equals the common denominator, p = D (the rational pivot
+is 1, which nearly every pivot of a 0/1 cover LP is), a pivot costs far
+less.  The new entry is then (D v - f pv) / D = v - f pv / D, where f is
+the row's entry in the entering column and pv the pivot row's entry in
+the same column as v.  So a row with f = 0 keeps every entry, and a
+column where pv = 0 keeps its value in every row.  The other entries
+change by f pv / D, which is an integer: it is the difference of v and
+the new entry, both integers by the exactness argument above, so
+``f * pv // D`` divides exactly.  The pivot therefore touches only the
+rows with f != 0, and in each only the pivot row's nonzero columns (plus
+the entering column, which becomes -f as in the general case).  When
+p != D every row is rewritten as above, the rows with f = 0 rescaled to
+p v / D.  Both branches give the same integers, so the pivot path and
+every result are those of the general update.
 """
 
 from __future__ import annotations
@@ -39,7 +54,12 @@ class UnboundedError(DicolorError):
 
 
 def _integer_rows(rows: list[list[Rational]]) -> tuple[int, list[list[int]]]:
-    """The lcm L of all denominators, and the rows times L as ints."""
+    """The lcm L of all denominators, and the rows times L as ints.
+
+    The rows are the caller's fresh lists; all-int rows come back as they are.
+    """
+    if all(type(v) is int for row in rows for v in row):
+        return 1, rows
     rows = [[v if type(v) is int else Fraction(v) for v in row] for row in rows]
     scale = lcm(*(v.denominator for row in rows for v in row))
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
@@ -55,13 +75,18 @@ def simplex_max(
     """
     m = len(A)
     n = len(c)
+    if len(b) != m:
+        raise InputError(f"{len(b)} right-hand sides for {m} rows")
+    for i, row in enumerate(A):
+        if len(row) != n:
+            raise InputError(f"row {i} has {len(row)} entries for {n} variables")
     for i, bi in enumerate(b):
         if bi < 0:
             raise InputError(f"rhs {i} is negative; slack start needs b >= 0")
     # variables: x_0..x_{n-1}, then the slack of row i as n + i; the rows
     # are the basic variables, the first n columns the nonbasic ones and
     # the last column the rhs; the objective row comes last
-    L, rows = _integer_rows([[A[i][j] for j in range(n)] + [b[i]] for i in range(m)])
+    L, rows = _integer_rows([[*row, bi] for row, bi in zip(A, b)])
     K, (cost,) = _integer_rows([list(c)])
     obj = [-cj for cj in cost] + [0]
     rows.append(obj)
@@ -92,16 +117,26 @@ def simplex_max(
             raise UnboundedError("objective unbounded above")
         prow = rows[leave]
         p = prow[enter]
-        for i, row in enumerate(rows):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                row = [(p * v - f * pv) // D for v, pv in zip(row, prow)]
-                row[enter] = -f  # the leaving variable's column
-                rows[i] = row
-            elif p != D:
-                rows[i] = [p * v // D for v in row]
+        if p == D:
+            # only the pivot row's nonzero columns change, by f * pv / D
+            support = [(j, pv) for j, pv in enumerate(prow) if pv and j != enter]
+            for i, row in enumerate(rows):
+                f = row[enter]
+                if f and i != leave:
+                    for j, pv in support:
+                        row[j] -= f * pv // D
+                    row[enter] = -f  # the leaving variable's column
+        else:
+            for i, row in enumerate(rows):
+                if i == leave:
+                    continue
+                f = row[enter]
+                if f:
+                    row = [(p * v - f * pv) // D for v, pv in zip(row, prow)]
+                    row[enter] = -f  # the leaving variable's column
+                    rows[i] = row
+                else:
+                    rows[i] = [p * v // D for v in row]
         prow[enter] = D
         obj = rows[m]
         D = p

@@ -346,11 +346,15 @@ def brute_digraph_chromatic(n: int, arcs: list[tuple[int, int]]) -> int:
 
 
 def fraction_simplex_max(
-    c: list[Fraction], A: list[list[Fraction]], b: list[Fraction]
+    c: list[Fraction],
+    A: list[list[Fraction]],
+    b: list[Fraction],
+    pivots: list[Fraction] | None = None,
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """The dense Fraction tableau with Bland's rule that ``simplex_max``
     replaced: same entering and leaving rules, same ``(value, x, y)``,
-    every entry a Fraction.  The reference for the integer-pivoting one."""
+    every entry a Fraction.  The reference for the integer-pivoting one.
+    Each pivot element is appended to ``pivots`` when one is given."""
     m = len(A)
     n = len(c)
     for i, bi in enumerate(b):
@@ -386,6 +390,8 @@ def fraction_simplex_max(
         if leave < 0:
             raise UnboundedError("objective unbounded above")
         piv = rows[leave][enter]
+        if pivots is not None:
+            pivots.append(piv)
         rows[leave] = [v / piv for v in rows[leave]]
         prow = rows[leave]
         for i in range(m):

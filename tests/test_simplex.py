@@ -1,6 +1,7 @@
 """Exact simplex on small packing programs."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,8 +10,8 @@ import pytest
 from dicolor.coloring import fractional_chromatic_with_dual
 from dicolor.constructions import kneser_graph
 from dicolor.errors import InputError
-from dicolor.families import maximal_independent_sets
-from dicolor.graphs import Graph
+from dicolor.families import maximal_acyclic_sets, maximal_independent_sets
+from dicolor.graphs import Graph, random_orientation
 from dicolor.simplex import UnboundedError, simplex_max
 
 from oracles import fraction_simplex_max, packing_lp_value
@@ -44,6 +45,20 @@ def test_known_small_lp():
 def test_negative_rhs_rejected():
     with pytest.raises(InputError):
         simplex_max([Fraction(1)], [[Fraction(1)]], [Fraction(-1)])
+
+
+@pytest.mark.parametrize(
+    "c, A, b",
+    [
+        ([1, 1], [[1, 1, 1]], [1]),  # a longer row: its extra entry was dropped
+        ([1, 1], [[1, 1], [1]], [1, 1]),  # a shorter row: a bare IndexError
+        ([1], [[1], [1]], [1]),  # b shorter than A: a bare IndexError
+    ],
+    ids=["long-row", "short-row", "short-rhs"],
+)
+def test_shape_mismatch_rejected(c, A, b):
+    with pytest.raises(InputError):
+        simplex_max(c, A, b)
 
 
 def test_random_packing_vs_vertex_enumeration():
@@ -147,3 +162,64 @@ def test_cover_lp_matches_fraction_tableau(name):
     assert value == expected[0]
     assert cover.parts == tuple((col, y) for col, y in zip(columns, expected[2]) if y > 0)
     assert weighting.values == tuple(expected[1])
+
+
+def _pivot_kinds(pivots):
+    """The update branch each pivot of ``simplex_max`` takes on integer data.
+
+    ``pivots`` are the Fraction tableau's pivot elements.  With integer data
+    the integer tableau is D times the rational one, so its pivot is p = a D
+    for the rational pivot a, and D becomes p: p == D exactly when a == 1.
+    """
+    kinds = Counter()
+    D = 1
+    for a in pivots:
+        kinds["p == D > 1" if a == 1 and D > 1 else "p == D == 1" if a == 1 else "p != D"] += 1
+        D *= a
+    return kinds
+
+
+def _solve_cover_lp(n, columns):
+    """simplex_max against the Fraction tableau on the covering LP's dual
+    over ``columns``, as ``_solve_cover_lp`` poses it; the pivot kinds."""
+    c, A, b = [1] * n, [[(col >> v) & 1 for v in range(n)] for col in columns], [1] * len(columns)
+    pivots = []
+    expected = fraction_simplex_max(c, A, b, pivots)
+    assert simplex_max(c, A, b) == expected
+    return _pivot_kinds(pivots)
+
+
+def _random_graph(rng, n):
+    p = rng.uniform(0.1, 0.9)
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_integer_pivoting_matches_fraction_tableau_on_independent_set_lps():
+    # the chif LPs: both update branches, and p == D > 1 among them
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(150):
+        G = _random_graph(rng, rng.randint(1, 16))
+        kinds += _solve_cover_lp(G.n, list(maximal_independent_sets(G)))
+    assert kinds["p == D == 1"] >= 900
+    assert kinds["p == D > 1"] >= 50
+    assert kinds["p != D"] >= 40
+
+
+def test_integer_pivoting_matches_fraction_tableau_on_acyclic_set_lps():
+    # the dichif LPs, over the maximal acyclic sets of random orientations
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for _ in range(300):
+        G = _random_graph(rng, rng.randint(2, 8))
+        kinds += _solve_cover_lp(G.n, maximal_acyclic_sets(random_orientation(G, rng)))
+    assert kinds["p == D == 1"] >= 450
+    assert kinds["p == D > 1"] >= 100
+    assert kinds["p != D"] >= 150
+
+
+@pytest.mark.parametrize("name", ["KG(5,2)", "C5+C5"])
+def test_cover_lp_with_pivot_equal_to_a_denominator_above_one(name):
+    G = kneser_graph(5, 2) if name == "KG(5,2)" else _union("C5", "C5")
+    kinds = _solve_cover_lp(G.n, list(maximal_independent_sets(G)))
+    assert kinds["p == D > 1"] >= 2
