@@ -24,19 +24,19 @@ would compute for it, so a pivot costs (m + 1)(n + 1) updates, not
 (m + 1)(n + m + 1).
 
 When the pivot equals the common denominator, p = D (the rational pivot
-is 1, which nearly every pivot of a 0/1 cover LP is), a pivot costs far
-less.  The new entry is then (D v - f pv) / D = v - f pv / D, where f is
-the row's entry in the entering column and pv the pivot row's entry in
-the same column as v.  So a row with f = 0 keeps every entry, and a
-column where pv = 0 keeps its value in every row.  The other entries
-change by f pv / D, which is an integer: it is the difference of v and
-the new entry, both integers by the exactness argument above, so
-``f * pv // D`` divides exactly.  The pivot therefore touches only the
-rows with f != 0, and in each only the pivot row's nonzero columns (plus
-the entering column, which becomes -f as in the general case).  When
-p != D every row is rewritten as above, the rows with f = 0 rescaled to
-p v / D.  Both branches give the same integers, so the pivot path and
-every result are those of the general update.
+is 1, as most pivots of a 0/1 cover LP are), a pivot costs far less.
+The new entry is then (D v - f pv) / D = v - f pv / D, where f is the
+row's entry in the entering column and pv the pivot row's entry in the
+same column as v.  So a row with f = 0 keeps every entry, and a column
+where pv = 0 keeps its value in every row.  The other entries change by
+f pv / D, which is an integer: it is the difference of v and the new
+entry, both integers by the exactness argument above, so ``f * pv // D``
+divides exactly.  The pivot therefore touches only the rows with f != 0,
+and in each only the pivot row's nonzero columns (plus the entering
+column, which becomes -f as in the general case).  When p != D every row
+is rewritten as above, the rows with f = 0 rescaled to p v / D.  Both
+branches give the same integers, so the pivot path and every result are
+those of the general update.
 """
 
 from __future__ import annotations
