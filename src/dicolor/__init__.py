@@ -57,7 +57,7 @@ from .errors import (
     InputError,
     TriesExhaustedError,
 )
-from .families import maximal_acyclic_sets, maximal_independent_sets
+from .families import max_acyclic_weight, maximal_acyclic_sets, maximal_independent_sets
 from .graphs import (
     Digraph,
     Graph,

@@ -28,7 +28,7 @@ from .errors import (
     InputError,
     TriesExhaustedError,
 )
-from .families import maximal_acyclic_sets
+from .families import max_acyclic_weight
 from .graphs import Digraph, Graph, derive_rng, is_acyclic, random_orientation
 from .sparse import RankedOrder, Weighting, _principal_dense_sets, ranked_order
 
@@ -106,10 +106,15 @@ def find_good_orientation(
 
     Each try uses an independent substream of ``seed``, so the result does
     not depend on how tries would be distributed over workers.  Raises
-    :class:`TriesExhaustedError` carrying the best failed attempt.
+    :class:`TriesExhaustedError` carrying the best failed attempt.  The
+    candidates of all tries together, ``max_tries`` times the count of one
+    try, are gated by ``CANDIDATE_CAP`` before the first try.
     """
     if max_tries < 1:
         raise InputError("need at least one try")
+    total = max_tries * _candidate_total(G.n, Fraction(t))
+    if total > CANDIDATE_CAP:
+        raise BudgetExceededError("principal-dense candidates over all tries", total, CANDIDATE_CAP)
     best: CertifiedOrientation | None = None
     for i in range(1, max_tries + 1):
         D = random_orientation(G, derive_rng(seed, i))
@@ -327,13 +332,14 @@ def cover_bound_certificate(
 
     Pipeline: take a vertex weighting (the optimal clique weighting unless
     one is supplied), find an orientation in which every t-principal set
-    of average degree >= d is cyclic, then verify by direct enumeration of
-    maximal acyclic sets that no acyclic set weighs more than 2d+4.  In
-    strict mode t is the exact fractional chromatic number, d is derived
-    as 2 log2(e t^2), and the scale hypotheses are hard gates; they fail
-    for every small instance, and the failure is reported rather than
-    hidden.  In relaxed mode the caller chooses t and d and every
-    hypothesis is reported alongside what was still certified.
+    of average degree >= d is cyclic, then find the exact weight of its
+    heaviest acyclic set by the branch and bound search of
+    :func:`~dicolor.families.max_acyclic_weight` and check that it is at
+    most 2d+4.  In strict mode t is the exact fractional chromatic number,
+    d is derived as 2 log2(e t^2), and the scale hypotheses are hard
+    gates; they fail for every small instance, and the failure is
+    reported rather than hidden.  In relaxed mode the caller chooses t and
+    d and every hypothesis is reported alongside what was still certified.
     """
     notes: list[str] = []
     fractional_value = None
@@ -382,11 +388,7 @@ def cover_bound_certificate(
         )
     order = ranked_order(weighting)
     cert = find_good_orientation(G, order, t_eff, d_eff, max_tries=max_tries, seed=seed)
-    w_max = Fraction(0)
-    for mask in maximal_acyclic_sets(cert.digraph):
-        wm = weighting.of(mask)
-        if wm > w_max:
-            w_max = wm
+    w_max = max_acyclic_weight(cert.digraph, weighting.values)
     bound = 2 * d_eff + 4
     weight_ok = w_max <= bound
     if not weight_ok:

@@ -202,6 +202,17 @@ def brute_maximal_acyclic_sets(
     return out
 
 
+def brute_max_acyclic_weight(
+    n: int, arcs: list[tuple[int, int]], weights: list[Fraction]
+) -> Fraction:
+    """Largest total weight of an acyclic vertex set, by scanning all 2^n subsets."""
+    return max(
+        sum((weights[v] for v in range(n) if (m >> v) & 1), Fraction(0))
+        for m in range(1 << n)
+        if not dfs_has_cycle(n, arcs, m)
+    )
+
+
 def brute_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
     """Smallest k admitting a proper coloring, by direct assignment search."""
     if n == 0:

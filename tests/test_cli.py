@@ -257,6 +257,32 @@ def test_huge_sizes_are_budget_errors(tmp_path, argv):
     assert json.loads(done.stderr)["error"]["kind"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("command", ["certify", "certificate"])
+def test_max_tries_is_gated_before_the_first_try(tmp_path, command):
+    # every edge of K4 is a principal set of average degree 1 at t = 3 and
+    # always acyclic, so 10^20 tries never ended (a 20 s timeout stopped
+    # them); the candidates of all tries together are now gated up front
+    k4 = write(tmp_path, "k4.json", json.dumps(graph_to_dict(complete_graph(4))))
+    done = run_cli_process(command, k4, "--t", "3", "--d", "1", "--max-tries", "1" + "0" * 20,
+                           timeout=10)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    error = json.loads(done.stderr)["error"]
+    assert error["kind"] == "budget-exceeded"
+    assert error["message"].startswith("principal-dense candidates over all tries")
+
+
+def test_certificate_weight_search_deeper_than_the_recursion_limit(tmp_path):
+    # no set is principal at t = 1/2, and the heaviest acyclic set of an
+    # edgeless graph is all of it: its search once recursed once per vertex
+    # and died of RecursionError with a traceback
+    graph = {"n": 1100, "edges": [], "weights": ["1/1"] * 1100}
+    path = write(tmp_path, "edgeless.json", json.dumps(graph))
+    done = run_cli_process("certificate", path, "--t", "1/2", "--d", "1")
+    assert done.returncode == 1, done.stderr  # 1100 > 2d+4 = 6, reported as not certified
+    assert json.loads(done.stdout)["results"]["max_acyclic_weight"] == "1100/1"
+
+
 def test_kneser_construction_is_gated_before_the_binomial():
     # C(10^6, 5 * 10^5) was computed exactly before the vertex gate, which
     # took 8 s; the capped binomial stops once it passes 2^64 times the budget

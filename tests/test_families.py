@@ -3,15 +3,22 @@
 import gc
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
-from dicolor.coloring import chromatic_number, digraph_chromatic_number
-from dicolor.errors import BudgetExceededError
-from dicolor.families import maximal_acyclic_sets, maximal_independent_sets
+from dicolor.coloring import (
+    chromatic_number,
+    digraph_chromatic_number,
+    fractional_chromatic_with_dual,
+)
+from dicolor.constructions import kneser_graph
+from dicolor.errors import BudgetExceededError, InputError
+from dicolor.families import max_acyclic_weight, maximal_acyclic_sets, maximal_independent_sets
 from dicolor.graphs import Digraph, Graph, complete_graph, cycle_graph, random_orientation
 
 from oracles import (
+    brute_max_acyclic_weight,
     brute_maximal_acyclic_sets,
     brute_maximal_independent_sets,
     generator_maximal_independent_sets,
@@ -151,6 +158,82 @@ def test_maximal_acyclic_cap():
         maximal_acyclic_sets(D, cap=1)
 
 
+def _heaviest_maximal(D, weights):
+    return max(sum((weights[v] for v in range(D.graph.n) if (m >> v) & 1), Fraction(0))
+               for m in maximal_acyclic_sets(D))
+
+
+def _check_max_acyclic_weight(D, weights):
+    got = max_acyclic_weight(D, weights)
+    assert got == _heaviest_maximal(D, weights)
+    assert got == brute_max_acyclic_weight(D.graph.n, D.arcs(), weights)
+    return got
+
+
+def test_max_acyclic_weight_matches_both_references():
+    # weights 0..8 over denominators 1, 2, 3, 7 and 8: zeros, ties and
+    # mixed denominators in one weighting
+    rng = random.Random(41)
+    for _ in range(300):
+        G = _random_graph(rng, n_max=9, p=rng.choice((0.3, 0.6, 0.9)))
+        D = random_orientation(G, rng.randrange(2**32))
+        weights = [Fraction(rng.randint(0, 8), rng.choice((1, 2, 3, 7, 8))) for _ in range(G.n)]
+        _check_max_acyclic_weight(D, weights)
+
+
+def test_max_acyclic_weight_under_lp_dual_weights():
+    # the certificate's default weighting: the optimal clique weighting,
+    # fractional on odd cycles, the Petersen graph and the complement of C7
+    C7 = cycle_graph(7)
+    graphs = [cycle_graph(5), C7, kneser_graph(5, 2),
+              Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if not C7.is_edge(u, v)])]
+    rng = random.Random(43)
+    graphs += [_random_graph(rng, n_max=9, p=0.3) for _ in range(20)]
+    fractional = 0
+    for G in graphs:
+        _, _, dual = fractional_chromatic_with_dual(G)
+        fractional += any(x.denominator > 1 for x in dual.values)
+        for _ in range(3):
+            _check_max_acyclic_weight(random_orientation(G, rng.randrange(2**32)), list(dual.values))
+    assert fractional >= 4
+
+
+def test_max_acyclic_weight_examples():
+    assert max_acyclic_weight(Digraph(Graph(0, []), 0), []) == 0
+    # edgeless: every vertex at once
+    edgeless = Digraph(Graph(5, []), 0)
+    weights = [Fraction(1, 2), Fraction(2, 3), Fraction(0), Fraction(5, 7), Fraction(1)]
+    assert _check_max_acyclic_weight(edgeless, weights) == sum(weights)
+    # a directed triangle drops its lightest vertex, in lowest terms
+    cyc = Digraph.from_arcs(complete_graph(3), [(0, 1), (1, 2), (2, 0)])
+    assert _check_max_acyclic_weight(cyc, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)]) \
+        == Fraction(5, 6)
+    assert _check_max_acyclic_weight(cyc, [Fraction(3, 4), Fraction(3, 4), Fraction(3, 4)]) \
+        == Fraction(3, 2)
+    # all-zero weights, acyclic or not
+    D = random_orientation(complete_graph(6), 3)
+    assert _check_max_acyclic_weight(D, [Fraction(0)] * 6) == 0
+    assert max_acyclic_weight(edgeless, [0] * 5) == 0
+
+
+def test_max_acyclic_weight_deep_search_and_bad_weights():
+    # the include chain of an edgeless graph is n nodes deep, past the
+    # default recursion limit of 1,000
+    assert max_acyclic_weight(Digraph(Graph(1100, []), 0), [Fraction(1)] * 1100) == 1100
+    D = random_orientation(complete_graph(3), 1)
+    with pytest.raises(InputError):
+        max_acyclic_weight(D, [1, 1])
+    with pytest.raises(InputError):
+        max_acyclic_weight(D, [1, -1, 1])
+
+
+def test_max_acyclic_weight_cap():
+    D = random_orientation(complete_graph(6), 1)
+    with pytest.raises(BudgetExceededError) as err:
+        max_acyclic_weight(D, [Fraction(1)] * 6, cap=1)
+    assert (err.value.needed, err.value.limit) == (2, 1)
+
+
 def test_enumerators_leave_no_reference_cycles():
     # the recursive closures referred to themselves, so every call left a
     # cycle (and chromatic_number its whole memo) for the cyclic collector
@@ -162,6 +245,7 @@ def test_enumerators_leave_no_reference_cycles():
         list(maximal_independent_sets(G))
         next(maximal_independent_sets(G, containing=2))  # left unfinished
         maximal_acyclic_sets(D)
+        max_acyclic_weight(D, [1] * 5)
         chromatic_number(G)
         digraph_chromatic_number(D)
         assert gc.collect() == 0
