@@ -295,8 +295,19 @@ def check_dichromatic_ground_truths(seed: int = 0) -> CheckRow:
         arcs = [(i, (i + s) % 7) for i in range(7) for s in (1, 2, 4)]
         paley = Digraph.from_arcs(complete_graph(7), arcs)
         p7 = coloring.digraph_chromatic_number(paley)
-        ok = (tree, k3, c4, p7) == (1, 2, 2, 3)
-        return ok, f"tree={tree} K_3={k3} C_4={c4} Paley-7={p7} (want 1,2,2,3)"
+        # the smallest 3-dichromatic tournament has 7 vertices and the
+        # smallest 4-dichromatic one 11 (Neumann-Lara 1994), so dichi(K_7) =
+        # dichi(K_8) = 3; both stay above the n / (2 log2 n) lower bound
+        k7, k8 = (
+            coloring.dichromatic_number_exact(complete_graph(n), n * (n - 1) // 2)[0]
+            for n in (7, 8)
+        )
+        above = k7 >= complete_graph_lower_bound(7) and k8 >= complete_graph_lower_bound(8)
+        ok = (tree, k3, c4, p7, k7, k8) == (1, 2, 2, 3, 3, 3) and above
+        return ok, (
+            f"tree={tree} K_3={k3} C_4={c4} Paley-7={p7} K_7={k7} K_8={k8} "
+            f"(want 1,2,2,3,3,3; K_n at least n/(2 log2 n): {above})"
+        )
 
     return _row(9, "dichromatic ground truths", 60.0, run)
 

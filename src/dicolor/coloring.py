@@ -15,10 +15,12 @@ objectives, which is the strong-duality certificate.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, compress
 from math import lcm
+from operator import eq, ne, or_
 
 from .errors import BudgetExceededError, DicolorError, InputError
 from .families import maximal_acyclic_sets, maximal_independent_sets
@@ -29,7 +31,6 @@ from .graphs import (
     is_acyclic,
     is_forest,
     iter_bits,
-    orientations,
     random_orientation,
 )
 from .simplex import simplex_max
@@ -234,7 +235,7 @@ def _acyclic_cover(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> tuple[i
     )
 
 
-def _automorphism_maps(G: Graph) -> list[list[int]]:
+def _automorphism_maps(G: Graph) -> list[tuple[list[int], int]]:
     """Actions on orientation codes of automorphisms of G, without the identity.
 
     An automorphism s sends the orientation with code c to the one with
@@ -244,6 +245,11 @@ def _automorphism_maps(G: Graph) -> list[list[int]]:
     end.  An action is a flat list of 16 entries per 4 bits of the code:
     entry 16 t + x is P of the value x in bits 4t..4t+3, and F is folded
     into the first 16 entries, so s(c) is the XOR of one entry per 4 bits.
+    Each action comes paired with its stabilised levels, for the pruning
+    of :func:`_orderly_orientations`: bit j is set when P maps the code
+    positions j..e-1 onto themselves, for j = 0 and for 1 <= j <= e-2 up to
+    the highest position that s moves or flips.  They are read off P as the
+    action is built.
 
     The backtracking maps the non-isolated vertices in a connected order,
     each to an unused vertex with the same degree and the same neighbour
@@ -253,21 +259,20 @@ def _automorphism_maps(G: Graph) -> list[list[int]]:
     found give distinct actions, and only the identity acts as the
     identity.  The collection stops after ``AUT_MAPS`` actions; the orbit
     skip of :func:`_best_orientation` is exact with any subset of them.
-    A code the skip keeps is tested against every action, and the actions
-    found first only permute the vertices mapped last, so past the cap
-    more actions cost more than they skip: on K_{2,10} (2 * 10!
-    automorphisms) ``dichif`` keeps the same 3,771 codes with 1,024
-    actions as with 4,096, and takes about 4 s instead of 9-12 s (2-core
-    VM, README "Budgets").
+    A code the skip keeps is tested against every action not dropped on
+    the way down, and the actions found first only permute the vertices
+    mapped last, so past the cap more actions cost more than they skip:
+    on K_{2,10} (2 * 10! automorphisms) the search keeps the same codes
+    with 1,024 actions as with 4,096, and ``dichif`` takes 1.1-1.4 s
+    instead of 2.4-2.7 s (2-core VM, README "Budgets").
     """
     n, edges, adj = G.n, G.edges, G.adj
-    # edge_bit[a][b] is the bit of edge {a, b}, and flipped[a][b] is that
-    # bit when a > b: an edge (u, v), u < v, with s(u) = a and s(v) = b
-    # has its image bit in F
+    # edge_bit[a][b] is the bit of edge {a, b}, negated when a > b: an edge
+    # (u, v), u < v, with s(u) = a and s(v) = b has its image bit in F
     edge_bit = [[0] * n for _ in range(n)]
-    flipped = [[0] * n for _ in range(n)]
     for i, (u, v) in enumerate(edges):
-        edge_bit[u][v] = edge_bit[v][u] = flipped[v][u] = 1 << i
+        edge_bit[u][v] = 1 << i
+        edge_bit[v][u] = -1 << i
     deg = [a.bit_count() for a in adj]
     key = [(deg[v], sorted(deg[u] for u in iter_bits(adj[v]))) for v in range(n)]
     # each vertex next has the most neighbours among the earlier ones, so
@@ -288,11 +293,25 @@ def _automorphism_maps(G: Graph) -> list[list[int]]:
     image_bit = [1 << v for v in range(n)]
     chunks = range(0, len(edges), 4)
     padding = [0] * (-len(edges) % 4)
-    maps: list[list[int]] = []
+    full = (1 << len(edges)) - 1
+    units = [1 << i for i in range(len(edges))]
+    below = [(2 << j) - 1 for j in range(len(edges) - 2)]
+    level_bits = [2 << j for j in range(len(edges) - 2)]
+    maps: list[tuple[list[int], int]] = []
 
     def add_action() -> None:
-        moved = [edge_bit[image[u]][image[v]] for u, v in edges] + padding
-        flip = sum([flipped[image[u]][image[v]] for u, v in edges])
+        signed = [edge_bit[image[u]][image[v]] for u, v in edges]
+        moved = list(map(abs, signed))
+        # P permutes the bits, so their sum is 2^e - 1, and negating the
+        # bits of F takes 2F off it
+        flip = (full - sum(signed)) >> 1
+        # P stabilises level j + 1 when the OR of the images of positions
+        # 0..j is below[j]; levels above the highest position s moves or
+        # flips are dropped, since s is the identity there
+        changed = flip | sum(compress(units, map(ne, moved, units)))
+        levels = 1 | sum(compress(level_bits, map(eq, accumulate(moved, or_), below)))
+        levels &= (1 << changed.bit_length()) - 1
+        moved += padding
         action: list[int] = []
         for t in chunks:
             a, b, c, d = moved[t:t + 4]
@@ -300,8 +319,8 @@ def _automorphism_maps(G: Graph) -> list[list[int]]:
             cd = c | d
             action += [0, a, b, ab, c, a | c, b | c, ab | c,
                        d, a | d, b | d, ab | d, cd, a | cd, b | cd, ab | cd]
-        action[:16] = [x ^ flip for x in action[:16]]
-        maps.append(action)
+        action[:16] = map(flip.__xor__, action[:16])
+        maps.append((action, levels))
 
     def extend(d: int, used: int) -> bool:
         # order[:d] is mapped onto the vertices in used; the isolated
@@ -328,6 +347,143 @@ def _automorphism_maps(G: Graph) -> list[list[int]]:
         # extend refers to itself through its closure, as in _min_cover
         del extend
     return maps
+
+
+def _orderly_orientations(
+    G: Graph, maps: list[tuple[list[int], int]] | None = None
+) -> Generator[Digraph | None, list[tuple[list[int], int]] | None, None]:
+    """The orientations of G with codes below 2^(e-1), in increasing code
+    order, less those that an action in ``maps`` maps lower.
+
+    A code c is left out when an action s of :func:`_automorphism_maps`
+    gives min(s(c), s(c) ^ (2^e - 1)) < c.  ``maps`` holds (action,
+    levels) pairs and may instead be sent once, after any yield, with
+    ``send(maps)``, which returns None; the codes after the one just
+    yielded are then tested.  Until then the codes are counted up with the
+    in-masks carried from code to code, as in ``graphs.orientations``.
+    After it the codes come from a depth-first search that fixes the bits
+    from e-2 down to 0, 0 before 1, and prunes a prefix whose every
+    completion would be left out (the proof is in :func:`_best_orientation`);
+    the in-masks go from one yielded code to the next by reversing the
+    edges whose bits differ.
+    """
+    m = len(G.edges)
+    half = 1 << (m - 1)
+    full = (1 << m) - 1
+    toggles = [(u, 1 << v, v, 1 << u) for u, v in G.edges]
+    carries = [toggles[:j] for j in range(m + 1)]
+    inc = [0] * G.n
+    for u, bv, _, _ in toggles:
+        inc[u] |= bv  # code 0 orients every edge (u, v) as v -> u
+    new = Digraph.__new__
+    for code in range(half):
+        if code:
+            for u, bv, v, bu in carries[(code ^ (code - 1)).bit_length()]:
+                inc[u] ^= bv
+                inc[v] ^= bu
+        D = new(Digraph)
+        D.graph = G
+        D.bits = code
+        D.in_masks = tuple(inc)
+        sent = yield D
+        if sent is not None:
+            maps = sent
+            yield
+        if maps:
+            break
+    else:
+        return
+
+    # where each 4-bit chunk of a code sits and where its 16 entries start in
+    # an action
+    chunks = [(s, 4 * s) for s in range(0, m, 4)]
+    # actions that stabilise a level above 0 are tested down the tree, as
+    # bits of an int per node; the others only at the leaves, the one that
+    # last left a code out first
+    deep: list[list[int]] = []
+    flat: list[list[int]] = []
+    at_level = [0] * (m - 1)  # bit i: deep[i] stabilises the level
+    for action, levels in maps:
+        if levels == 1:
+            flat.append(action)
+        else:
+            for j in iter_bits(levels):
+                at_level[j] |= 1 << len(deep)
+            deep.append(action)
+
+    def narrow(j: int, prefix: int, live: int) -> int | None:
+        # the live actions that stabilise level j fix bits j..e-1 of every
+        # completion's image; None when one maps them lower, and otherwise
+        # live less the ones that map them higher
+        test = live & at_level[j]
+        if not test:
+            return live
+        at = [((prefix >> s) & 15) + start for s, start in chunks]
+        fixed = prefix >> j
+        while test:
+            low = test & -test
+            test ^= low
+            action = deep[low.bit_length() - 1]
+            image = 0
+            for x in at:
+                image ^= action[x]
+            if image >= half:
+                image ^= full
+            image >>= j
+            if image < fixed:
+                return None
+            if image > fixed:
+                live ^= low
+        return live
+
+    # the pending subtrees after code, the largest on the bottom: the 1
+    # branches off its path, each with the actions live at its parent
+    stack = []
+    live = (1 << len(deep)) - 1
+    prefix = 0
+    for j in range(m - 2, -1, -1):
+        bit = 1 << j
+        if code & bit:
+            prefix |= bit
+        else:
+            stack.append((j, prefix | bit, live))
+        if j:
+            live = narrow(j, prefix, live)
+            if live is None:
+                break
+    while stack:
+        j, prefix, live = stack.pop()
+        while True:
+            live = narrow(j, prefix, live)
+            if live is None or not j:
+                break
+            j -= 1
+            stack.append((j, prefix | 1 << j, live))
+        if live is None:
+            continue
+        at = [((prefix >> s) & 15) + start for s, start in chunks]
+        for i, action in enumerate(flat):
+            image = 0
+            for x in at:
+                image ^= action[x]
+            if image < prefix or image ^ full < prefix:
+                if i:
+                    flat.insert(0, flat.pop(i))
+                break
+        else:
+            diff = prefix ^ code
+            while diff:
+                low = diff & -diff
+                diff ^= low
+                u, bv, v, bu = toggles[low.bit_length() - 1]
+                inc[u] ^= bv
+                inc[v] ^= bu
+            code = prefix
+            D = new(Digraph)
+            D.graph = G
+            D.bits = code
+            D.in_masks = tuple(inc)
+            yield D
 
 
 def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budget: int) -> tuple:
@@ -366,15 +522,40 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     So D cannot be the first orientation to reach the maximum, and skipping it
     changes neither the value nor the witness.  The argument holds for any
     set of automorphisms, so :func:`_automorphism_maps` may stop
-    collecting them at a fixed count; the one that last skipped a code moves
-    to the front.  They are collected at the first ``value`` call that does
-    not raise the best value.  Until then every evaluated orientation
-    raised it, and such an orientation is the least code of its class under
-    Aut(G) and reversal, which the skip keeps.  And a search that stops at
+    collecting them at a fixed count.  They are collected at the first
+    ``value`` call that does not raise the best value.  Until then every
+    evaluated orientation raised it, and such an orientation is the least
+    code of its class under Aut(G) and reversal, which the skip keeps.  And a search that stops at
     the bound before such a call never pays for the automorphisms: exact
     ``dichi`` on a graph of degeneracy at most 3 evaluates code 0 and then
     its first orientation with a directed cycle, and stops there.  Sampled
     orientations come in no code order and are never skipped this way.
+
+    The skip is applied to whole code prefixes by
+    :func:`_orderly_orientations`.  Once the actions exist it takes the
+    codes from a depth-first search that fixes bit e-2, then e-3, down to
+    bit 0 (bit e-1 is 0), trying 0 before 1, so the codes still come in
+    increasing order.  At a node of level j the bits j..e-1 of the code are
+    fixed: call that prefix p, with zeros below j.  Let an action send c to
+    P(c) ^ F, and let it stabilise level j: P maps the positions j..e-1
+    onto themselves.  Then, for every completion c of p, the bits j..e-1
+    of P(c) ^ F are those of P(p) ^ F, since P moves the free bits below
+    j only among themselves.  Bit e-1 is one of them, so it is fixed which
+    of the image and its complement lies below 2^(e-1), and with it the
+    bits j..e-1 of c' = min(s(c), s(c) ^ (2^e - 1)).  If they are below
+    those of p, then c' < c for every completion, the skip drops every
+    code of the subtree, and the search prunes it.  If they are above,
+    then c' > c for every completion: the action skips no code of the
+    subtree, so it is dropped there and never tested again below the node.
+    If they are equal it stays live.  At a leaf, every action stabilises
+    level 0, and the live actions and those that stabilise no other level
+    get the code-by-code test; an action only tested there is kept in a
+    list where the one that last skipped a code moves to the front.  A leaf
+    is thus yielded exactly when no collected action skips its code, and
+    the search evaluates the codes the skip alone would: values, witnesses
+    and pool decisions are unchanged.  When the actions arrive after code
+    c0 is evaluated, the nodes on the path to c0 are tested from the top,
+    and the search goes on with the subtrees to their right.
 
     Orientations an earlier cover already bounds are also skipped without
     calling ``value``.  The last ``COVER_POOL`` covers returned by
@@ -396,8 +577,8 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     enters with the verdict True for the D it came from, whose acyclic sets
     they are.  So every pool decision is the one a fresh test of every set
     would make, at three more integers per pooled set.  Exact enumeration
-    gets its digraphs from :func:`orientations`, which carries the
-    in-neighbour masks from code to code.
+    carries the in-neighbour masks from one yielded code to the next,
+    reversing only the edges whose bits differ.
     """
     if trials is not None and trials < 1:
         raise InputError("need at least one trial")
@@ -414,15 +595,12 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
         # D and its reverse have the same acyclic sets, so the same value,
         # and of the codes c and c ^ (2^e - 1) the one below 2^(e-1) comes
         # first: the first maximum lies in the lower half of the codes
-        digraphs = islice(orientations(G), 1 << (m - 1))
-        full = (1 << m) - 1
-        # where each 4-bit chunk of a code sits and where its 16 entries
-        # start in an automorphism action
-        chunks = [(s, 4 * s) for s in range(0, m, 4)]
-        maps = None  # collected at the first value that does not raise the best
+        digraphs = _orderly_orientations(G)
     else:
         digraphs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
-        maps = []  # samples come in no code order, so the orbit skip is off
+    # the automorphisms are collected at the first value that does not raise
+    # the best; samples come in no code order, so they are never skipped
+    collect = trials is None
     k, colors = degeneracy_coloring(G)
     # independent sets are acyclic, so chi_f(D) <= chi(D) <= chi(G), and the
     # greedy colouring bounds chi(G)
@@ -437,20 +615,6 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     pool: list[list[list]] = []
     for D in digraphs:
         bits = D.bits
-        if maps:
-            at = [((bits >> s) & 15) + start for s, start in chunks]
-            for i, action in enumerate(maps):
-                image = 0
-                for j in at:
-                    image ^= action[j]
-                if image < bits or image ^ full < bits:
-                    if i:
-                        maps.insert(0, maps.pop(i))
-                    break
-            else:
-                i = -1
-            if i >= 0:
-                continue
         for i, cover in enumerate(pool):
             for entry in cover:
                 S, E, last, acyclic = entry
@@ -478,8 +642,9 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
                 witness = D
                 if best >= bound:
                     break
-            elif maps is None:
-                maps = _automorphism_maps(G)
+            elif collect:
+                collect = False
+                digraphs.send(_automorphism_maps(G))
     return best, witness
 
 

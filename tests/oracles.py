@@ -19,7 +19,9 @@ replaced, whose work bounds the search's, and
 ``uncached_pooled_search``, the orientation search that calls
 ``is_acyclic`` on every pooled set it checks and finds the orbit skip's
 automorphisms by trying every vertex permutation, whose pool and orbit
-decisions the library's search must keep.
+decisions the library's search must keep.  ``orbit_minimal_codes`` tests
+every code against every given automorphism, the code-by-code skip whose
+codes the pruned depth-first search must yield.
 """
 
 from __future__ import annotations
@@ -455,6 +457,15 @@ def permuted_code(G: Graph, perm, code: int) -> int:
         if a < b:
             out |= 1 << index[(a, b)]
     return out
+
+
+def orbit_minimal_codes(G: Graph, perms) -> list[int]:
+    """The codes c below 2^(e-1), in increasing order, that no permutation
+    in ``perms`` maps to a code c' with min(c', c' ^ (2^e - 1)) < c."""
+    m = len(G.edges)
+    full = (1 << m) - 1
+    return [c for c in range(1 << (m - 1))
+            if all(min(x, x ^ full) >= c for x in (permuted_code(G, p, c) for p in perms))]
 
 
 def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph | None = None):

@@ -44,6 +44,7 @@ from dicolor.sparse import degeneracy_coloring
 
 import oracles
 from oracles import (
+    brute_automorphisms,
     brute_chromatic,
     brute_digraph_chromatic,
     brute_maximal_acyclic_sets,
@@ -53,6 +54,7 @@ from oracles import (
     fractional_chromatic_bruteforce,
     milp_chromatic,
     min_cover_chromatic,
+    orbit_minimal_codes,
     permuted_code,
     uncached_pooled_search,
 )
@@ -519,7 +521,7 @@ def test_automorphism_maps_are_the_edge_actions_of_aut(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     G = Graph(n, edges)
     maps = coloring._automorphism_maps(G)
-    keys = [_action_key(G, lambda c, a=a: _act(a, c)) for a in maps]
+    keys = [_action_key(G, lambda c, a=a: _act(a, c)) for a, _ in maps]
     assert len(set(keys)) == len(keys)
     assert set(keys) == _networkx_actions(G)
 
@@ -529,7 +531,7 @@ def test_automorphism_maps_of_named_graphs():
                      (cycle_graph(7), 13), (Graph(9, [(0, 1), (2, 3), (3, 4)]), 3)):
         maps = coloring._automorphism_maps(G)
         assert len(maps) == count
-        assert {_action_key(G, lambda c, a=a: _act(a, c)) for a in maps} == _networkx_actions(G)
+        assert {_action_key(G, lambda c, a=a: _act(a, c)) for a, _ in maps} == _networkx_actions(G)
     # the Frucht graph is cubic with no automorphism but the identity: every
     # vertex is a candidate for every other, and every other branch dies
     frucht = Graph(12, sorted(tuple(sorted(e)) for e in nx.frucht_graph().edges()))
@@ -539,8 +541,8 @@ def test_automorphism_maps_of_named_graphs():
     G = _biclique(2, 10)
     maps = coloring._automorphism_maps(G)
     assert len(maps) == coloring.AUT_MAPS
-    assert len({_action_key(G, lambda c, a=a: _act(a, c)) for a in maps}) == len(maps)
-    for action in maps[::97]:
+    assert len({_action_key(G, lambda c, a=a: _act(a, c)) for a, _ in maps}) == len(maps)
+    for action, _ in maps[::97]:
         # P permutes the bits, and the image of an orientation is isomorphic
         # to it
         flip = _act(action, 0)
@@ -567,9 +569,68 @@ def test_mapped_codes_are_isomorphic_orientations():
         full = (1 << len(G.edges)) - 1
         maps = coloring._automorphism_maps(G)
         for code in rng.sample(range(full + 1), min(6, full + 1)):
-            for action in rng.sample(maps, min(8, len(maps))):
+            for action, _ in rng.sample(maps, min(8, len(maps))):
                 image = _act(action, code)
                 assert sizes(G, image) == sizes(G, image ^ full) == sizes(G, code)
+
+
+def _orderly_graphs():
+    # K5, K5 plus a pendant edge relabelled so that the pendant edge is not
+    # the last position, K_{3,3}, K_{2,4}, C6 and 30 seeded non-forests with
+    # at most 11 edges
+    relabel = [3, 5, 0, 1, 4, 2]
+    pendant = Graph(6, sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in K5_PENDANT.edges))
+    rng = random.Random(89)
+    graphs = [K5, pendant, _biclique(3, 3), _biclique(2, 4), cycle_graph(6)]
+    while len(graphs) < 35:
+        G = _random_graph(rng, n_max=7, p=rng.choice((0.4, 0.6)))
+        if not is_forest(G) and len(G.edges) <= 11:
+            graphs.append(G)
+    return graphs
+
+
+def test_orderly_orientations_are_the_orbit_minimal_codes():
+    # the pruned depth-first search yields exactly the lower-half codes that
+    # no given automorphism maps lower, tested code by code on the vertex
+    # permutations behind the actions: with every collected action and with
+    # the first half of them, given from the start or sent after some code,
+    # when every code up to that one comes first
+    nontrivial = 0
+    for G in _orderly_graphs():
+        half = 1 << (len(G.edges) - 1)
+        by_action = {_action_key(G, lambda c, p=p: permuted_code(G, p, c)): p
+                     for p in brute_automorphisms(G)}
+        maps = coloring._automorphism_maps(G)
+        nontrivial += len(maps) > 1
+        for chosen in (maps, maps[:len(maps) // 2]):
+            perms = [by_action[_action_key(G, lambda c, a=a: _act(a, c))] for a, _ in chosen]
+            expected = orbit_minimal_codes(G, perms)
+            got = list(coloring._orderly_orientations(G, chosen))
+            assert [D.bits for D in got] == expected
+            # each digraph carries the in-masks of its code
+            assert all(D.in_masks == Digraph(G, D.bits).in_masks for D in got)
+            for start in (1, half // 3, half - 1):
+                digraphs = coloring._orderly_orientations(G)
+                codes = [next(digraphs).bits for _ in range(start + 1)]
+                assert digraphs.send(chosen) is None
+                codes += [D.bits for D in digraphs]
+                assert codes == list(range(start + 1)) + [c for c in expected if c > start]
+    assert nontrivial >= 20
+
+
+def test_complete_graph_dichromatic_numbers():
+    # the smallest 3-dichromatic tournament has 7 vertices and the smallest
+    # 4-dichromatic one 11 (Neumann-Lara, Discrete Math. 135, 1994), so
+    # dichi(K_n) is 2 for 3 <= n <= 6 and 3 for n = 7, 8.  The witnesses of
+    # K7 and K8 are the first codes reaching 3, as the search without the
+    # orbit skip found them
+    for n in range(3, 9):
+        G = complete_graph(n)
+        value, witness = dichromatic_number_exact(G, edge_budget=len(G.edges))
+        assert value == (2 if n <= 6 else 3)
+        assert brute_digraph_chromatic(n, witness.arcs()) == value
+        if n >= 7:
+            assert witness.bits == {7: 5617, 8: 19377}[n]
 
 
 def _orbit_graphs():
