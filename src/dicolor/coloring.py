@@ -359,13 +359,13 @@ def _orderly_orientations(
     gives min(s(c), s(c) ^ (2^e - 1)) < c.  ``maps`` holds (action,
     levels) pairs and may instead be sent once, after any yield, with
     ``send(maps)``, which returns None; the codes after the one just
-    yielded are then tested.  Until then the codes are counted up with the
-    in-masks carried from code to code, as in ``graphs.orientations``.
-    After it the codes come from a depth-first search that fixes the bits
-    from e-2 down to 0, 0 before 1, and prunes a prefix whose every
-    completion would be left out (the proof is in :func:`_best_orientation`);
-    the in-masks go from one yielded code to the next by reversing the
-    edges whose bits differ.
+    yielded are then tested.  Until some action exists nothing is left
+    out, and the codes are counted up with the in-masks carried from code
+    to code, as in ``graphs.orientations``.  From then on the codes come
+    from a depth-first search that fixes the bits from e-2 down to 0, 0
+    before 1, and prunes a prefix whose every completion would be left out
+    (the proof is in :func:`_best_orientation`); the in-masks go from one
+    yielded code to the next by reversing the edges whose bits differ.
     """
     m = len(G.edges)
     half = 1 << (m - 1)
