@@ -622,8 +622,7 @@ def test_complete_graph_dichromatic_numbers():
     # the smallest 3-dichromatic tournament has 7 vertices and the smallest
     # 4-dichromatic one 11 (Neumann-Lara, Discrete Math. 135, 1994), so
     # dichi(K_n) is 2 for 3 <= n <= 6 and 3 for n = 7, 8.  The witnesses of
-    # K7 and K8 are the first codes reaching 3, as the search without the
-    # orbit skip found them
+    # K7 and K8 are pinned; K7's is checked to be the first code reaching 3
     for n in range(3, 9):
         G = complete_graph(n)
         value, witness = dichromatic_number_exact(G, edge_budget=len(G.edges))
@@ -631,6 +630,8 @@ def test_complete_graph_dichromatic_numbers():
         assert brute_digraph_chromatic(n, witness.arcs()) == value
         if n >= 7:
             assert witness.bits == {7: 5617, 8: 19377}[n]
+    K7 = complete_graph(7)
+    assert all(digraph_chromatic_number(Digraph(K7, code)) <= 2 for code in range(5617))
 
 
 def _orbit_graphs():
