@@ -125,8 +125,8 @@ def _load_graph(path: str) -> tuple[Graph, Weighting | None]:
 def _run_compute(args) -> tuple[dict, int]:
     results: dict = {}
     verdicts: dict = {}
-    vertex_kw = {"vertex_budget": args.budget} if args.budget else {}
-    edge_kw = {"edge_budget": args.budget} if args.budget else {}
+    vertex_kw = {"vertex_budget": args.budget} if args.budget is not None else {}
+    edge_kw = {"edge_budget": args.budget} if args.budget is not None else {}
     if args.invariant in ("digraph-chi", "digraph-chif"):
         D, _ = build_digraph(load_graph_file(args.file))
         if args.invariant == "digraph-chi":
@@ -231,14 +231,14 @@ def _int_args(args: list[str], want: int, what: str) -> list[int]:
 
 
 def _run_construct(args) -> tuple[dict, int]:
-    vertex_kw = {"vertex_budget": args.budget} if args.budget else {}
+    vertex_kw = {"vertex_budget": args.budget} if args.budget is not None else {}
     if args.what == "kneser":
         n, k = _int_args(args.args, 2, "construct kneser")
         G = constructions.kneser_graph(n, k, **vertex_kw)
         payload = graph_to_dict(G)
     elif args.what == "complete":
         (n,) = _int_args(args.args, 1, "construct complete")
-        limit = args.budget or constructions.CONSTRUCT_VERTEX_BUDGET
+        limit = constructions.CONSTRUCT_VERTEX_BUDGET if args.budget is None else args.budget
         if n > limit:
             raise BudgetExceededError("complete graph construction", n, limit)
         payload = graph_to_dict(complete_graph(n))
@@ -341,6 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args = _parser().parse_args(argv)
+        if args.budget is not None and args.budget < 0:
+            raise InputError(f"--budget must be nonnegative, got {args.budget}")
         if args.command == "compute":
             body, code = _run_compute(args)
         elif args.command == "certify":

@@ -27,6 +27,7 @@ from .families import maximal_acyclic_sets, maximal_independent_sets
 from .graphs import (
     Digraph,
     Graph,
+    blocks,
     derive_rng,
     is_acyclic,
     is_forest,
@@ -486,7 +487,44 @@ def _orderly_orientations(
             yield D
 
 
-def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budget: int) -> tuple:
+def _tournament_bound(m: int) -> int:
+    """Colours that peeling transitive sets leaves on any tournament on m
+    vertices: t(0) = 0 and t(m) = 1 + t(m - (1 + floor(log2 m))).
+
+    Every tournament on m >= 1 vertices has a transitive set of
+    1 + floor(log2 m) = ``m.bit_length()`` vertices (Erdos and Moser 1964):
+    one of the out- and in-neighbourhoods of a vertex holds at least
+    ceil((m - 1) / 2) of the others, and the vertex joins a transitive set
+    found there.  A transitive set is acyclic, so colouring one and
+    recursing on the rest colours the tournament with t(m) acyclic sets.
+    """
+    colors = 0
+    while m:
+        m -= m.bit_length()
+        colors += 1
+    return colors
+
+
+def _orientation_stop(G: Graph) -> int:
+    """The value at which the orientation search of a non-forest G stops:
+    an upper bound on chi(D) for every orientation D of G, the smallest of
+    k // 2 + 1 for a k-degenerate G, the colours of the greedy colouring
+    along a degeneracy order, and the largest t(|B|) of
+    :func:`_tournament_bound` over the blocks B of G.  The proofs are in
+    :func:`_best_orientation`.
+    """
+    k, colors = degeneracy_coloring(G)
+    stop = min(k // 2 + 1, max(colors) + 1)
+    if stop > 2:
+        # a non-forest has a block with a cycle, of at least 3 vertices, and
+        # t(3) = 2, so the blocks can only lower a stop above 2
+        stop = min(stop, max(_tournament_bound(B.bit_count()) for B in blocks(G)))
+    return stop
+
+
+def _best_orientation(
+    G: Graph, value, trials: int | None, seed: int, edge_budget: int, integer: bool = False
+) -> tuple:
     """Largest value over orientations D of G, with the first D reaching it.
 
     ``value(D)`` returns the value of D and an optimal cover attaining it,
@@ -513,6 +551,28 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     chi(D) <= chi(G).  It colours a complete bipartite graph with 2, so
     K_{4,5} stops at 2 where the degeneracy bound is 3.
 
+    The stop is lowered again to the largest t(|B|) over the blocks B of
+    G (:func:`graphs.blocks`, :func:`_tournament_bound`).  A directed cycle
+    of D is a cycle of G, so it lies inside one block, and chi(D) is the
+    largest chi(D[B]): colour each block with its own acyclic sets, and
+    add the blocks one at a time along the block-cut tree, each meeting the
+    ones coloured before in one cut vertex, permuting its colours to agree
+    there; a class then holds a directed cycle only if one block's class
+    does.  Adding an arc between every non-adjacent pair of B turns D[B]
+    into a tournament T, and a set acyclic in T is acyclic in D[B], so
+    chi(D[B]) <= chi(T) <= t(|B|).  This gives t(5) = 2 and t(7) = t(8) =
+    3, the dichromatic numbers of K5, K7 and K8.
+
+    With integer values (``integer``, the ``dichi`` searches) and a stop
+    of 2, an orientation is returned as the witness with value 2 without
+    calling ``value`` once the best value is 1 and no pooled cover bounds
+    it.  While the best value is 1, every cover ``value`` returned has one
+    part, V, since a second part would make the value 2 or more; so the
+    pool leaves D only if V is cyclic in D, and then 2 <= chi(D) <= 2.
+    The search would have evaluated D and stopped there with the same
+    value and witness.  Fractional values may lie strictly between 1 and
+    2, so ``dichif`` never takes this stop.
+
     In exact enumeration an orientation D with code c is skipped, before the
     pool below is checked, when an automorphism s of G maps c to a code c'
     with min(c', c' ^ (2^e - 1)) < c.  That smaller code is s(D) or its
@@ -525,11 +585,12 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     collecting them at a fixed count.  They are collected at the first
     ``value`` call that does not raise the best value.  Until then every
     evaluated orientation raised it, and such an orientation is the least
-    code of its class under Aut(G) and reversal, which the skip keeps.  And a search that stops at
-    the bound before such a call never pays for the automorphisms: exact
-    ``dichi`` on a graph of degeneracy at most 3 evaluates code 0 and then
-    its first orientation with a directed cycle, and stops there.  Sampled
-    orientations come in no code order and are never skipped this way.
+    code of its class under Aut(G) and reversal, which the skip keeps.  And a
+    search that stops at the bound before such a call never pays for the
+    automorphisms: exact ``dichi`` with a stop of 2 evaluates code 0 only,
+    which is acyclic, and stops at its first orientation with a directed
+    cycle.  Sampled orientations come in no code order and are never
+    skipped this way.
 
     The skip is applied to whole code prefixes by
     :func:`_orderly_orientations`.  Once the actions exist it takes the
@@ -601,10 +662,10 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
     # the automorphisms are collected at the first value that does not raise
     # the best; samples come in no code order, so they are never skipped
     collect = trials is None
-    k, colors = degeneracy_coloring(G)
-    # independent sets are acyclic, so chi_f(D) <= chi(D) <= chi(G), and the
-    # greedy colouring bounds chi(G)
-    bound = min(k // 2 + 1, max(colors) + 1)
+    bound = _orientation_stop(G)
+    # while the best is 1 an orientation the pool does not skip has value 2
+    # when the values are integers and the stop is 2
+    cycle_stop = integer and bound == 2
     best = 0
     witness = None
     # end masks of the edges, to find the edges with both ends in a set
@@ -629,6 +690,8 @@ def _best_orientation(G: Graph, value, trials: int | None, seed: int, edge_budge
                     pool.insert(0, pool.pop(i))
                 break
         else:
+            if cycle_stop and best == 1:
+                return 2, D
             c, cover = value(D)
             entries = []
             for S in cover:
@@ -656,7 +719,7 @@ def dichromatic_number_exact(G: Graph, edge_budget: int = ORIENT_EDGE_BUDGET) ->
     maps lower are skipped); raise the budget or fall back
     to :func:`dichromatic_lower_bound_mc` beyond ``edge_budget`` edges.
     """
-    return _best_orientation(G, _acyclic_cover, None, 0, edge_budget)
+    return _best_orientation(G, _acyclic_cover, None, 0, edge_budget, integer=True)
 
 
 def dichromatic_lower_bound_mc(G: Graph, trials: int, seed: int = 0) -> tuple[int, Digraph]:
@@ -667,7 +730,7 @@ def dichromatic_lower_bound_mc(G: Graph, trials: int, seed: int = 0) -> tuple[in
     """
     m = len(G.edges)
     exhaustive = trials >= 1 and m < trials.bit_length()
-    return _best_orientation(G, _acyclic_cover, None if exhaustive else trials, seed, m)
+    return _best_orientation(G, _acyclic_cover, None if exhaustive else trials, seed, m, integer=True)
 
 
 def _solve_cover_lp(

@@ -175,6 +175,63 @@ def is_forest(G: Graph) -> bool:
     return True
 
 
+def blocks(G: Graph) -> list[int]:
+    """Vertex masks of the blocks of G that hold an edge.
+
+    A block is a maximal 2-connected subgraph or a bridge with its two
+    ends; every cycle of G lies inside one block, and isolated vertices
+    lie in none.  Hopcroft-Tarjan on an explicit stack: ``low[v]`` is the
+    smallest DFS number reached from v's subtree by one back edge, and a
+    tree edge (u, w) closes a block when ``low[w] >= disc[u]``, which is
+    then the vertices above w on the vertex stack plus u.  No recursion,
+    so a path of thousands of vertices needs no deep call stack.
+    """
+    adj = G.adj
+    disc = [0] * G.n  # DFS numbers from 1; 0 marks an unvisited vertex
+    low = [0] * G.n
+    out: list[int] = []
+    count = 0
+    for root in range(G.n):
+        if disc[root] or not adj[root]:
+            continue
+        count += 1
+        disc[root] = low[root] = count
+        visited = [root]
+        # each vertex on the path from the root, with its neighbours not yet
+        # looked at; the tree parent is left out, since edges are simple
+        path = [(root, adj[root])]
+        while path:
+            v, rest = path[-1]
+            if rest:
+                bit = rest & -rest
+                path[-1] = (v, rest ^ bit)
+                w = bit.bit_length() - 1
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    count += 1
+                    disc[w] = low[w] = count
+                    visited.append(w)
+                    path.append((w, adj[w] & ~(1 << v)))
+                continue
+            path.pop()
+            if not path:
+                break
+            u = path[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= disc[u]:
+                block = 1 << u
+                while True:
+                    x = visited.pop()
+                    block |= 1 << x
+                    if x == v:
+                        break
+                out.append(block)
+    return out
+
+
 class Digraph:
     """An orientation of a :class:`Graph`: one directed arc per base edge.
 

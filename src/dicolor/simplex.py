@@ -3,7 +3,9 @@
 Solves  max c.x  subject to  A x <= b,  x >= 0  with all data rational and
 b >= 0, so the slack basis is feasible from the start.  Bland's smallest-
 index rule is used for both the entering and the leaving variable, which
-makes the pivot path deterministic and rules out cycling.  The optimal
+makes the pivot path deterministic and rules out cycling: no basis
+repeats, so there are fewer than C(n + m, m) pivots, and a run past that
+count raises ``DicolorError`` instead of pivoting forever.  The optimal
 duals are read off the reduced costs of the slack columns, so one solve
 yields a primal/dual pair with exactly equal objectives.
 
@@ -42,7 +44,7 @@ those of the general update.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import DicolorError, InputError
 
@@ -63,6 +65,35 @@ def _integer_rows(rows: list[list[Rational]]) -> tuple[int, list[list[int]]]:
     rows = [[v if type(v) is int else Fraction(v) for v in row] for row in rows]
     scale = lcm(*(v.denominator for row in rows for v in row))
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def _pivot(rows: list[list[int]], leave: int, enter: int, D: int) -> None:
+    """Pivot the condensed tableau ``rows`` over the common denominator D on
+    the entry of row ``leave`` in column ``enter``, in place; the new
+    common denominator is that entry."""
+    prow = rows[leave]
+    p = prow[enter]
+    if p == D:
+        # only the pivot row's nonzero columns change, by f * pv / D
+        support = [(j, pv) for j, pv in enumerate(prow) if pv and j != enter]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                for j, pv in support:
+                    row[j] -= f * pv // D
+                row[enter] = -f  # the leaving variable's column
+    else:
+        for i, row in enumerate(rows):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                row = [(p * v - f * pv) // D for v, pv in zip(row, prow)]
+                row[enter] = -f  # the leaving variable's column
+                rows[i] = row
+            else:
+                rows[i] = [p * v // D for v in row]
+    prow[enter] = D
 
 
 def simplex_max(
@@ -93,6 +124,10 @@ def simplex_max(
     basis = [n + i for i in range(m)]
     nonbasic = list(range(n))
     D = 1
+    # Bland's rule never repeats a basis, and there are at most C(n + m, m),
+    # so a pivot past that count is a broken tableau update, not a slow LP
+    cap = comb(n + m, m)
+    pivots = 0
 
     while True:
         enter = -1
@@ -115,29 +150,13 @@ def simplex_max(
                     leave = i
         if leave < 0:
             raise UnboundedError("objective unbounded above")
-        prow = rows[leave]
-        p = prow[enter]
-        if p == D:
-            # only the pivot row's nonzero columns change, by f * pv / D
-            support = [(j, pv) for j, pv in enumerate(prow) if pv and j != enter]
-            for i, row in enumerate(rows):
-                f = row[enter]
-                if f and i != leave:
-                    for j, pv in support:
-                        row[j] -= f * pv // D
-                    row[enter] = -f  # the leaving variable's column
-        else:
-            for i, row in enumerate(rows):
-                if i == leave:
-                    continue
-                f = row[enter]
-                if f:
-                    row = [(p * v - f * pv) // D for v, pv in zip(row, prow)]
-                    row[enter] = -f  # the leaving variable's column
-                    rows[i] = row
-                else:
-                    rows[i] = [p * v // D for v in row]
-        prow[enter] = D
+        if pivots == cap:
+            raise DicolorError(
+                f"simplex passed C({n + m}, {m}) pivots, which Bland's rule never does: "
+                "the tableau update is broken")
+        pivots += 1
+        p = rows[leave][enter]
+        _pivot(rows, leave, enter, D)
         obj = rows[m]
         D = p
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]

@@ -358,6 +358,74 @@ def brute_digraph_chromatic(n: int, arcs: list[tuple[int, int]]) -> int:
     return c
 
 
+def _succ_has_cycle(succ: list[int], within: int) -> bool:
+    """Directed-cycle detection by colored DFS over successor masks: a
+    successor on the current path closes a cycle.  The masks are built once
+    per orientation, where :func:`dfs_has_cycle` builds its lists on every
+    call, which made :func:`brute_dichromatic` twice as slow."""
+    done = 0
+    for start in iter_bits(within):
+        if (done >> start) & 1:
+            continue
+        on_path = 1 << start
+        stack = [(start, succ[start] & within)]
+        while stack:
+            v, rest = stack[-1]
+            if rest & on_path:
+                return True
+            rest &= ~done
+            if rest:
+                low = rest & -rest
+                stack[-1] = (v, rest ^ low)
+                on_path |= low
+                u = low.bit_length() - 1
+                stack.append((u, succ[u] & within))
+            else:
+                stack.pop()
+                on_path ^= 1 << v
+                done |= 1 << v
+    return False
+
+
+def brute_dichromatic(G: Graph) -> int:
+    """Largest digraph chromatic number over the orientations of G, each by
+    direct search: 1 when the whole orientation is acyclic, 2 when some
+    split into two sets is acyclic on both sides, and otherwise
+    :func:`brute_digraph_chromatic`.  Only the codes below 2^(e-1) are
+    tried, since reversing every arc keeps the acyclic sets."""
+    n, m = G.n, len(G.edges)
+    full = (1 << n) - 1
+    best = 0
+    for code in range(1 << max(m - 1, 0)):
+        succ = [0] * n
+        for i, (u, v) in enumerate(G.edges):
+            if (code >> i) & 1:
+                succ[u] |= 1 << v
+            else:
+                succ[v] |= 1 << u
+        if not _succ_has_cycle(succ, full):
+            c = 1
+        elif any(not _succ_has_cycle(succ, S) and not _succ_has_cycle(succ, full ^ S)
+                 for S in range(1, full + 1, 2)):
+            c = 2
+        else:
+            arcs = [(u, v) for u in range(n) for v in iter_bits(succ[u])]
+            c = brute_digraph_chromatic(n, arcs)
+        best = max(best, c)
+    return best
+
+
+def brute_tournament_dichromatic(m: int) -> int:
+    """Largest digraph chromatic number over all 2^C(m, 2) tournaments on
+    m vertices, labelled or not."""
+    pairs = list(combinations(range(m), 2))
+    return max(
+        brute_digraph_chromatic(m, [(u, v) if (code >> i) & 1 else (v, u)
+                                    for i, (u, v) in enumerate(pairs)])
+        for code in range(1 << len(pairs))
+    )
+
+
 def fraction_simplex_max(
     c: list[Fraction],
     A: list[list[Fraction]],
@@ -468,7 +536,8 @@ def orbit_minimal_codes(G: Graph, perms) -> list[int]:
             if all(min(x, x ^ full) >= c for x in (permuted_code(G, p, c) for p in perms))]
 
 
-def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph | None = None):
+def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph | None = None,
+                           integer: bool = False):
     """The pooled orientation search with no cached verdicts: every pooled
     set is tested with ``is_acyclic`` each time its cover is checked.
     Returns the best value, the first digraph reaching it and the codes of
@@ -477,7 +546,9 @@ def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph
     With ``G`` (exact mode, the codes in counter order) it also replays the
     orbit skip: from the first ``value`` that does not raise the best on, a
     code c is skipped before the pool is checked when some automorphism of
-    G maps it to a code c' with min(c', c' ^ (2^e - 1)) < c."""
+    G maps it to a code c' with min(c', c' ^ (2^e - 1)) < c.  With
+    ``integer`` and a ``bound`` of 2, a digraph the pool does not skip once
+    the best is 1 is returned with the value 2 and no ``value`` call."""
     best, witness, evaluated = 0, None, []
     pool: list[list[int]] = []
     autos = None
@@ -492,6 +563,8 @@ def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph
                 pool.insert(0, pool.pop(i))
                 break
         else:
+            if integer and bound == 2 and best == 1:
+                return 2, D, evaluated
             evaluated.append(D.bits)
             c, cover = value(D)
             pool.insert(0, cover)

@@ -139,6 +139,26 @@ def test_exit_code_budget(tmp_path, capsys):
     assert "budget-exceeded" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "dichi", "K3"],
+    ["compute", "chi", "K3"],
+    ["construct", "complete", "3"],
+    ["construct", "kneser", "5", "2"],
+])
+def test_budget_zero_is_a_budget_and_negative_is_invalid(tmp_path, capsys, argv):
+    # --budget 0 is a budget, not the default: the triangle's 3 edges and 3
+    # vertices and the 3 or 10 vertices to build all pass it
+    path = write(tmp_path, "k3.json", K3_JSON)
+    argv = [path if a == "K3" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "budget-exceeded"
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "invalid-input" and "--budget" in error["message"]
+
+
 def test_exit_code_certification_failure(tmp_path, capsys):
     # all four triangles of K_4 can never be simultaneously cyclic
     k4 = json.dumps(graph_to_dict(complete_graph(4)))

@@ -46,8 +46,10 @@ import oracles
 from oracles import (
     brute_automorphisms,
     brute_chromatic,
+    brute_dichromatic,
     brute_digraph_chromatic,
     brute_maximal_acyclic_sets,
+    brute_tournament_dichromatic,
     dfs_has_cycle,
     digraph_fractional_bruteforce,
     fraction_check_certificate,
@@ -333,10 +335,52 @@ def test_degeneracy_bound_holds_for_every_orientation(n, data):
     assert most <= k // 2 + 1
 
 
+def test_tournament_bound_covers_every_small_tournament():
+    # t(m) colours every tournament on m vertices, so it is at least the
+    # largest dichromatic number among them, by brute force for m <= 5; it
+    # is exact for K5, K7 and K8 (Neumann-Lara 1994)
+    for m in range(6):
+        assert coloring._tournament_bound(m) >= brute_tournament_dichromatic(m)
+    assert [coloring._tournament_bound(m) for m in range(10)] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+
+
+def _stop_graphs():
+    # K5 with up to two more edges, the octahedron (4-regular, one block of
+    # 6), two triangles sharing a vertex, and seeded non-forests, 300 in all
+    # with n <= 8 and m <= 12
+    k5 = list(K5.edges)
+    rng = random.Random(97)
+    graphs = [K5, K5_PENDANT, Graph(7, k5 + [(0, 5), (5, 6)]), Graph(7, k5 + [(1, 5), (3, 6)]),
+              Graph(6, k5 + [(0, 5), (1, 5)]),
+              Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3]),
+              Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])]
+    while len(graphs) < 300:
+        n = rng.randint(3, 8)
+        p = rng.choice((0.3, 0.5))
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if not is_forest(G) and len(G.edges) <= 12:
+            graphs.append(G)
+    return graphs
+
+
+def test_orientation_stop_is_never_below_the_dichromatic_number():
+    # the search may stop at a value only if no orientation exceeds it; on
+    # K5 and K5 plus edges the blocks lower the stop to t(5) = 2
+    lowered = 0
+    for G in _stop_graphs():
+        stop = coloring._orientation_stop(G)
+        assert stop >= brute_dichromatic(G)
+        k, colors = degeneracy_coloring(G)
+        lowered += stop < min(k // 2 + 1, max(colors) + 1)
+    assert lowered >= 4
+
+
 def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
     # Petersen is 3-degenerate, so the search ends at the first code with
     # value 2: code 18.  Code 0 is acyclic, its one-part cover {V} stays
-    # acyclic in codes 1-17, and so only codes 0 and 18 are evaluated
+    # acyclic in codes 1-17, and code 18, the first the pool does not bound,
+    # has a directed cycle, so it reaches the stop of 2 with no value
+    # computed: only code 0 is evaluated
     G = kneser_graph(5, 2)
     codes = []
     real = coloring._acyclic_cover
@@ -346,12 +390,12 @@ def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
         return real(D)
 
     monkeypatch.setattr(coloring, "_acyclic_cover", counted)
-    # both values raise the best, so the lazy orbit skip never searches Aut(G)
+    # the one value raises the best, so the lazy orbit skip never searches Aut(G)
     started = []
     monkeypatch.setattr(coloring, "_automorphism_maps", started.append)
     value, witness = dichromatic_number_exact(G)
     assert (value, witness.bits) == (2, 18)
-    assert codes == [0, 18]
+    assert codes == [0]
     assert started == []
     # every earlier code is acyclic, so 18 is the first maximum of the full search
     full = G.full_mask
@@ -410,8 +454,8 @@ def test_pooled_sampled_search_matches_pool_free_loop(monkeypatch):
     searches = []
     real = coloring._best_orientation
 
-    def recorded(*args):
-        searches.append(real(*args))
+    def recorded(*args, **kwargs):
+        searches.append(real(*args, **kwargs))
         return searches[-1]
 
     families = {}
@@ -444,7 +488,8 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
     # time and, in exact mode, replays the orbit skip with brute-force
     # automorphisms: the same orientations evaluated, value and witness, with
     # no more is_acyclic calls, in exact and sampled mode, for dichi and
-    # dichif covers
+    # dichif covers, with the same stop and, for dichi, the stop at a cyclic
+    # orientation with no value computed
     calls = []
     real_is_acyclic = coloring.is_acyclic
 
@@ -461,10 +506,9 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
 
     fewer = 0
     for seed, G in enumerate(_pool_graphs()):
-        k, colors = degeneracy_coloring(G)
-        bound = min(k // 2 + 1, max(colors) + 1)
+        bound = coloring._orientation_stop(G)
         for trials, digraphs in ((None, _lower_codes(G)), (300, _samples(G, 300, seed))):
-            for value in (coloring._acyclic_cover, lp_cover):
+            for value, integer in ((coloring._acyclic_cover, True), (lp_cover, False)):
                 evaluated = []
 
                 def recorded(D):
@@ -472,11 +516,11 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
                     return value(D)
 
                 calls.clear()
-                best, witness = coloring._best_orientation(G, recorded, trials, seed, 20)
+                best, witness = coloring._best_orientation(G, recorded, trials, seed, 20, integer)
                 cached_calls = len(calls)
                 calls.clear()
-                expected = uncached_pooled_search(
-                    digraphs, value, bound, coloring.COVER_POOL, G if trials is None else None)
+                expected = uncached_pooled_search(digraphs, value, bound, coloring.COVER_POOL,
+                                                  G if trials is None else None, integer)
                 assert (best, witness, evaluated) == expected
                 assert cached_calls <= len(calls)
                 fewer += cached_calls < len(calls)
@@ -635,15 +679,19 @@ def test_complete_graph_dichromatic_numbers():
 
 
 def _orbit_graphs():
-    # K5, K_{3,3}, C4 plus a chord, and 40 seeded non-forests with at most
-    # 11 edges, for a skip-free search over every lower-half code
+    # K5, K_{3,3}, C4 plus a chord, 40 seeded non-forests with at most 11
+    # edges, the wheel with 5 spokes, the triangular prism and K_{2,4}, for
+    # a skip-free search over every lower-half code.  The last three are
+    # there for their dichif searches, which reach the lazy start
     rng = random.Random(83)
     graphs = [K5, _biclique(3, 3), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])]
     while len(graphs) < 43:
         G = _random_graph(rng, n_max=7, p=rng.choice((0.4, 0.6)))
         if not is_forest(G) and len(G.edges) <= 11:
             graphs.append(G)
-    return graphs
+    wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    prism = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+    return graphs + [wheel, prism, _biclique(2, 4)]
 
 
 def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
@@ -664,7 +712,9 @@ def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
         codes = _lower_codes(G)
         assert dichromatic_number_exact(G) == _first_maximum(codes, digraph_chromatic_number)
         assert fractional_dichromatic(G) == _first_maximum(codes, lp_value)[0]
-    # 24 of the 86 searches reach the lazy start, 23 with a non-trivial Aut(G)
+    # 26 of the 92 searches reach the lazy start, 25 with a non-trivial
+    # Aut(G); no dichi search with a stop of 2 calls value twice, so none
+    # of those reaches it
     assert sum(bool(real(G)) for G in started) >= 20
 
 
@@ -672,7 +722,9 @@ def test_bipartite_search_stops_at_the_first_cyclic_orientation(monkeypatch):
     # K_{4,4} is 4-degenerate, so the degeneracy stop is at 3, but its
     # greedy colouring has 2 colours and chi_f(D) <= chi(D) <= chi(G): the
     # search ends at the first code with a directed cycle, which is the
-    # witness
+    # witness.  The pool bounds every code before it by the cover {V} of
+    # code 0, and a cyclic code reaches the stop of 2, so only code 0 is
+    # evaluated
     G = _biclique(4, 4)
     k, colors = degeneracy_coloring(G)
     assert (k, max(colors) + 1) == (4, 2)
@@ -687,7 +739,7 @@ def test_bipartite_search_stops_at_the_first_cyclic_orientation(monkeypatch):
     monkeypatch.setattr(coloring, "_acyclic_cover", counted)
     value, witness = dichromatic_number_exact(G)
     assert (value, witness.bits) == (2, first)
-    assert codes[-1] == first
+    assert codes == [0]
 
 
 def test_fractional_dichromatic_is_bruteforce_maximum():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from dicolor.graphs import (
     acyclic_orientation_bound,
     acyclic_probability_bound,
     average_degree,
+    blocks,
     complete_graph,
     count_acyclic_orientations,
     count_acyclic_orientations_fast,
@@ -235,3 +237,36 @@ def test_acyclic_monotone_property(code, data):
     sub = data.draw(st.integers(min_value=0, max_value=63)) & S
     if is_acyclic(D, S):
         assert is_acyclic(D, sub)
+
+
+def _networkx_blocks(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    return sorted(mask_of(c) for c in nx.biconnected_components(H))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=12), st.data())
+def test_blocks_match_networkx(n, data):
+    # sparse draws give bridges, pendant trees and isolated vertices, dense
+    # ones cut vertices between 2-connected blocks
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    G = Graph(n, edges)
+    got = blocks(G)
+    assert len(got) == len(set(got))
+    assert sorted(got) == _networkx_blocks(G)
+
+
+def test_blocks_of_named_graphs():
+    # two triangles joined by a bridge, a pendant edge and an isolated vertex
+    G = Graph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6)])
+    assert sorted(blocks(G)) == sorted(map(mask_of, ([0, 1, 2], [2, 3], [3, 4, 5], [5, 6])))
+    assert sorted(blocks(G)) == _networkx_blocks(G)
+    assert blocks(complete_graph(5)) == [0b11111]
+    assert blocks(Graph(4, [])) == []
+    # a path of 3,000 vertices: a recursive DFS would pass Python's default
+    # recursion limit of 1,000 here
+    P = path_graph(3000)
+    assert sorted(blocks(P)) == [3 << i for i in range(2999)]

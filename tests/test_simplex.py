@@ -4,12 +4,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from dicolor.coloring import fractional_chromatic_with_dual
 from dicolor.constructions import kneser_graph
-from dicolor.errors import InputError
+from dicolor import simplex
+from dicolor.errors import DicolorError, InputError
 from dicolor.families import maximal_acyclic_sets, maximal_independent_sets
 from dicolor.graphs import Graph, random_orientation
 from dicolor.simplex import UnboundedError, simplex_max
@@ -223,3 +225,15 @@ def test_cover_lp_with_pivot_equal_to_a_denominator_above_one(name):
     G = kneser_graph(5, 2) if name == "KG(5,2)" else _union("C5", "C5")
     kinds = _solve_cover_lp(G.n, list(maximal_independent_sets(G)))
     assert kinds["p == D > 1"] >= 2
+
+
+def test_a_broken_tableau_update_raises_instead_of_pivoting_forever(monkeypatch):
+    # an update that leaves the tableau as it was keeps the entering column's
+    # reduced cost negative, so the same columns enter again and again; Bland's
+    # rule never repeats a basis, so past C(n + m, m) pivots simplex_max
+    # raises instead of hanging
+    pivots = []
+    monkeypatch.setattr(simplex, "_pivot", lambda rows, leave, enter, D: pivots.append(enter))
+    with pytest.raises(DicolorError, match="pivots"):
+        simplex_max([1, 1], [[1, 0], [0, 1], [1, 1]], [1, 1, 1])
+    assert len(pivots) == comb(5, 3)
