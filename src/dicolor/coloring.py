@@ -3,14 +3,15 @@
 The chromatic number is a decision search between the clique number and
 a greedy colouring: can the uncovered vertices be covered by b independent
 sets, branching on the maximal independent sets through an uncovered vertex
-of largest degree among the uncovered ones, with failures memoised (see
-:func:`chromatic_number`).  The digraph chromatic number is a minimum-cover
-recursion over subsets whose parts are the maximal acyclic sets through the
-lowest uncovered vertex, which keeps the covers the orientation search
-pools (see ``_min_cover``).  Fractional invariants solve the covering
-linear program in exact rational arithmetic; a single simplex run yields
-both an optimal cover and an optimal dual weighting with identical
-objectives, which is the strong-duality certificate.
+of largest degree among the uncovered ones, with failures memoised, down to
+b = 2, which is a bipartiteness test (see :func:`chromatic_number`).  The
+digraph chromatic number is a minimum-cover recursion over subsets whose
+parts are the maximal acyclic sets through the lowest uncovered vertex,
+which keeps the covers the orientation search pools (see ``_min_cover``).
+Fractional invariants solve the covering linear program in exact rational
+arithmetic; a single simplex run yields both an optimal cover and an
+optimal dual weighting with identical objectives, which is the
+strong-duality certificate.
 """
 
 from __future__ import annotations
@@ -112,6 +113,28 @@ def _min_cover(full: int, parts_for) -> tuple[int, list[int]]:
     return count, parts
 
 
+def _bipartite(adj: tuple[int, ...], S: int) -> bool:
+    """Whether the subgraph induced on S is bipartite, by breadth-first
+    layers of each component with S as the unseen vertices: it is unless an
+    edge lies inside a layer (see :func:`chromatic_number`)."""
+    while S:
+        layer = S & -S
+        S ^= layer
+        while layer:
+            reach = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nbrs = adj[low.bit_length() - 1]
+                if nbrs & layer:
+                    return False
+                reach |= nbrs
+            layer = reach & S
+            S ^= layer
+    return True
+
+
 def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     """Exact chromatic number: minimum independent sets covering V.
 
@@ -125,18 +148,30 @@ def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     covered by b independent sets, and the first b that fails gives
     chi = b + 1.
 
-    ``feasible(S, b)`` branches on a vertex v of largest degree in G[S] (the
-    lowest on ties): the parts are v plus the maximal independent sets of
-    G[S] minus v and its neighbours, the smallest such remainder, so the
-    branching is narrow.  It is exact: in a cover of S by b independent
-    sets, the class containing v extends to a maximal independent set M of
-    G[S] through v, and the other b - 1 classes cover S minus M.  A part
-    that leaves R uncovered is cut without a call when R holds more than
-    b - 1 vertices of K, since an independent set holds at most one of
-    them, or when R already failed with b - 1 or more sets: ``fail[R]`` is
-    the largest count proven too small for R, and a count too small stays
-    too small for every smaller one.  Every nonempty R fails with 0 sets,
-    the default.
+    ``feasible(S, 2)`` asks whether G[S] is bipartite, and answers by a
+    breadth-first 2-colouring over the adjacency masks, one component at a
+    time.  An edge of G[S] joins two vertices in the same or in adjacent
+    layers.  If no edge lies inside a layer, the layer parities colour G[S]
+    with two colours.  If an edge uv lies inside layer i, the paths from u
+    and from v back to the root, together with uv, form a closed walk of
+    length 2i + 1.  An odd closed walk holds an odd cycle, which no two
+    independent sets cover (König).  The test records nothing in ``fail``.
+    No call reaches b = 1: a decision asks b >= |K| >= 2, since a graph
+    with an edge has a clique of 2 and an edgeless one has hi = 1 and asks
+    nothing, and a call with b >= 3 recurses with b - 1 >= 2.
+
+    ``feasible(S, b)`` for b >= 3 branches on a vertex v of largest degree
+    in G[S] (the lowest on ties): the parts are v plus the maximal
+    independent sets of G[S] minus v and its neighbours, the smallest such
+    remainder, so the branching is narrow.  It is exact: in a cover of S by
+    b independent sets, the class containing v extends to a maximal
+    independent set M of G[S] through v, and the other b - 1 classes cover
+    S minus M.  A part that leaves R uncovered is cut without a call when R
+    holds more than b - 1 vertices of K, since an independent set holds at
+    most one of them, or when R already failed with b - 1 or more sets:
+    ``fail[R]`` is the largest count proven too small for R, and a count
+    too small stays too small for every smaller one.  Every nonempty R
+    fails with 0 sets, the default.
 
     The work is bounded by that of the exact minimum over subsets (Lawler
     1976), which this search replaced: it expands every subset the parts
@@ -145,10 +180,13 @@ def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     of K and is searched with at most hi - 1 - d sets, so taking the fewest
     such d, S is searched with one of hi - |K| counts.  It fails with each
     count at most once, and a success ends its decision, of which there are
-    at most hi - |K|.  So S is expanded at most 2 (hi - |K|) times.
+    at most hi - |K|.  So S is expanded at most 2 (hi - |K|) times.  The
+    bipartite test expands nothing: it only takes the place of expansions
+    at b = 2, so the bound still holds, and it runs at most once per part
+    enumerated at b = 3 or per decision.
     """
     if G.n > vertex_budget:
-        raise BudgetExceededError("chromatic-number DP", G.n, vertex_budget)
+        raise BudgetExceededError("chromatic-number search", G.n, vertex_budget)
     if G.n == 0:
         return 0
     adj = G.adj
@@ -192,6 +230,8 @@ def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     def feasible(S: int, b: int) -> bool:
         # S is nonempty, with at most b vertices of the clique, and has not
         # failed with b sets
+        if b == 2:
+            return _bipartite(adj, S)
         v = max(iter_bits(S), key=lambda u: (adj[u] & S).bit_count())
         for M in maximal_independent_sets(G, within=S, containing=v):
             R = S & ~M

@@ -58,6 +58,18 @@ def parse_graph_text(text: str) -> GraphFileData:
     return _parse_edge_list(text)
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise GraphFormatError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
 def _parse_json(text: str) -> GraphFileData:
     try:
         obj = json.loads(text)
@@ -68,25 +80,25 @@ def _parse_json(text: str) -> GraphFileData:
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError("graph object needs 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphFormatError(f"'n' must be a nonnegative integer, got {n!r}")
     _check_vertex_count(n)
     edges = []
-    for i, pair in enumerate(obj["edges"]):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+    for i, pair in enumerate(_list_field(obj, "edges")):
+        if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphFormatError(f"edge {i} must be a pair, got {pair!r}")
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise GraphFormatError(f"edge {i} has non-integer endpoints {pair!r}")
         edges.append((u, v))
     weights = None
     if obj.get("weights") is not None:
-        weights = tuple(parse_fraction(s) for s in obj["weights"])
+        weights = tuple(parse_fraction(s) for s in _list_field(obj, "weights"))
         if len(weights) != n:
             raise GraphFormatError(f"expected {n} weights, got {len(weights)}")
     labels = None
     if obj.get("labels") is not None:
-        labels = tuple(str(s) for s in obj["labels"])
+        labels = tuple(str(s) for s in _list_field(obj, "labels"))
         if len(labels) != n:
             raise GraphFormatError(f"expected {n} labels, got {len(labels)}")
     return GraphFileData(n=n, edges=tuple(edges), weights=weights, labels=labels)

@@ -281,28 +281,60 @@ def degeneracy_coloring(G: Graph, within: int | None = None) -> tuple[int, list[
     """Degeneracy of G[within] and a greedy coloring with at most k+1 colors.
 
     Repeatedly removes a minimum-degree vertex (ties by index); coloring
-    runs along the reverse elimination order.
+    runs along the reverse elimination order, each vertex taking the
+    lowest color whose class holds none of its neighbours.  The live
+    vertices sit in one mask per degree, and removing v moves each live
+    neighbour down one; the minimum degree then drops by at most one, so
+    the scan for the next nonempty mask starts there.
     """
     S = G.full_mask if within is None else within
+    adj = G.adj
+    deg = [0] * G.n
+    by_deg = [0] * (G.n + 1)
+    rest = S
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        d = (adj[v] & S).bit_count()
+        deg[v] = d
+        by_deg[d] |= low
     live = S
     elim: list[int] = []
     degeneracy = 0
+    d = 0
     while live:
-        best_v = -1
-        best_d = -1
-        for v in iter_bits(live):
-            dv = (G.adj[v] & live).bit_count()
-            if best_v < 0 or dv < best_d:
-                best_v = v
-                best_d = dv
-        degeneracy = max(degeneracy, best_d)
-        elim.append(best_v)
-        live &= ~(1 << best_v)
+        while not by_deg[d]:
+            d += 1
+        low = by_deg[d] & -by_deg[d]
+        by_deg[d] ^= low
+        live ^= low
+        v = low.bit_length() - 1
+        elim.append(v)
+        if d > degeneracy:
+            degeneracy = d
+        nbrs = adj[v] & live
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            u = bit.bit_length() - 1
+            e = deg[u]
+            deg[u] = e - 1
+            by_deg[e] ^= bit
+            by_deg[e - 1] |= bit
+        if d:
+            d -= 1
     colors: list[int | None] = [None] * G.n
+    classes: list[int] = []
     for v in reversed(elim):
-        used = {colors[u] for u in iter_bits(G.adj[v] & S) if colors[u] is not None}
+        a = adj[v]
         c = 0
-        while c in used:
+        for cls in classes:
+            if not cls & a:
+                break
             c += 1
+        else:
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v] = c
     return degeneracy, colors

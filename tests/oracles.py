@@ -15,7 +15,9 @@ and cap refusals the depth-first principal-dense search must keep,
 ``fraction_check_certificate``, the Fraction certificate check whose
 verdicts and messages the integer one must keep, ``min_cover_chromatic``,
 the minimum over subsets that the chromatic number's decision search
-replaced, whose work bounds the search's, and
+replaced, whose work bounds the search's, ``scan_degeneracy_coloring``,
+the live-set scan whose degeneracy and colours the degree-mask elimination
+must keep, and
 ``uncached_pooled_search``, the orientation search that calls
 ``is_acyclic`` on every pooled set it checks and finds the orbit skip's
 automorphisms by trying every vertex permutation, whose pool and orbit
@@ -324,6 +326,36 @@ def min_cover_chromatic(G: Graph) -> int:
         return maximal_independent_sets(G, within=S, containing=v)
 
     return _min_cover(G.full_mask, parts_for)[0]
+
+
+def scan_degeneracy_coloring(G: Graph, within: int | None = None) -> tuple[int, list[int | None]]:
+    """``degeneracy_coloring`` as the library computed it before its degree
+    masks: each step scans the live set for a vertex of least degree (the
+    lowest on ties), and each vertex, in reverse elimination order, takes
+    the least colour missing from its coloured neighbours."""
+    S = G.full_mask if within is None else within
+    live = S
+    elim: list[int] = []
+    degeneracy = 0
+    while live:
+        best_v = -1
+        best_d = -1
+        for v in iter_bits(live):
+            dv = (G.adj[v] & live).bit_count()
+            if best_v < 0 or dv < best_d:
+                best_v = v
+                best_d = dv
+        degeneracy = max(degeneracy, best_d)
+        elim.append(best_v)
+        live &= ~(1 << best_v)
+    colors: list[int | None] = [None] * G.n
+    for v in reversed(elim):
+        used = {colors[u] for u in iter_bits(G.adj[v] & S) if colors[u] is not None}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return degeneracy, colors
 
 
 def fractional_chromatic_bruteforce(n: int, edges: list[tuple[int, int]]) -> Fraction:

@@ -277,6 +277,29 @@ def test_huge_sizes_are_budget_errors(tmp_path, argv):
     assert json.loads(done.stderr)["error"]["kind"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("body", [
+    '{"n": 2, "edges": 5}',
+    '{"n": 2, "edges": null}',
+    '{"n": 2, "edges": "01"}',
+    '{"n": 2, "edges": [[0, 1]], "weights": 5}',
+    '{"n": 2, "edges": [[0, 1]], "weights": "12"}',
+    '{"n": 2, "edges": [[0, 1]], "labels": 5}',
+    '{"n": true, "edges": []}',
+    '{"n": 2, "edges": [[0, true]]}',
+    '{"n": 2, "edges": [[false, 1]]}',
+])
+def test_json_fields_of_the_wrong_type_are_format_errors(tmp_path, body):
+    # a field that is not a list once ended in a TypeError traceback, and
+    # JSON true passed as the integer 1: as n it gave a 1-vertex graph, and
+    # as an endpoint it was printed back as a witness arc [true, 0]
+    done = run_cli_process("compute", "dichi", write(tmp_path, "g.json", body))
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["error"]["kind"] == "invalid-input"
+
+
 @pytest.mark.parametrize("command", ["certify", "certificate"])
 def test_max_tries_is_gated_before_the_first_try(tmp_path, command):
     # every edge of K4 is a principal set of average degree 1 at t = 3 and

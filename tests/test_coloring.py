@@ -141,6 +141,10 @@ HILL_CLIMBED_24 = _from_bits(
 )
 
 
+GROTZSCH = Graph(11, list(nx.mycielski_graph(4).edges()))
+MYCIELSKI_M5 = Graph(23, list(nx.mycielski_graph(5).edges()))
+
+
 def _low_degree_first(G):
     # relabel so that vertex 0 has the lowest degree: the lowest-index
     # branch vertex is then the worst one
@@ -162,7 +166,7 @@ def test_chromatic_matches_ilp_up_to_the_budget():
     pytest.param(_disjoint_union(*[complete_graph(3)] * 8), 3, id="8xK3"),
     pytest.param(_disjoint_union(*[complete_graph(3)] * 6, complete_graph(6)), 6, id="6xK3+K6"),
     pytest.param(_disjoint_union(*[cycle_graph(5)] * 4, complete_graph(4)), 4, id="4xC5+K4"),
-    pytest.param(Graph(23, list(nx.mycielski_graph(5).edges())), 5, id="Mycielski-M5"),
+    pytest.param(MYCIELSKI_M5, 5, id="Mycielski-M5"),
     pytest.param(_low_degree_first(_gnp(24, 0.3, 7)), None, id="G(24,0.3)-low-degree-first"),
     pytest.param(_low_degree_first(_gnp(24, 0.6, 8)), None, id="G(24,0.6)-low-degree-first"),
     pytest.param(kneser_graph(7, 2), 5, id="KG(7,2)"),
@@ -221,16 +225,59 @@ def test_chromatic_searches_nothing_when_the_bounds_meet(monkeypatch):
         assert _clique_number(G) == max(degeneracy_coloring(G)[1]) + 1 == chi
         assert chromatic_number(G) == chi
         assert calls == []
-    # C5's bounds are 2 and 3, so it is searched
-    assert chromatic_number(cycle_graph(5)) == 3 and calls
+    # the Grötzsch graph's bounds are 2 and 4, so its first decision asks
+    # for 3 sets and is searched
+    assert chromatic_number(GROTZSCH) == 4 and calls
 
 
 def test_chromatic_memo_covers_every_smaller_count(monkeypatch):
     # a subset that failed with b sets fails with fewer; a memo that only
-    # answered for the same b enumerates 78 times here
+    # answered for the same b enumerates 85 times on this G(20, 0.7)
     calls = _record_enumerations(monkeypatch, coloring)
+    assert chromatic_number(_gnp(20, 0.7, 39)) == 8
+    assert len(calls) == 74
+    # with the bipartite test at b = 2, KG(7,2) enumerates 8 times (76
+    # when every decision branched down to b = 1)
+    calls.clear()
     assert chromatic_number(kneser_graph(7, 2)) == 5
-    assert len(calls) == 76
+    assert len(calls) == 8
+
+
+def _odd_wheel(k):
+    # a hub joined to every vertex of the odd cycle C_k: chi 4, omega 3
+    return Graph(k + 1, list(cycle_graph(k).edges) + [(v, k) for v in range(k)])
+
+
+def test_bipartite_test_matches_networkx():
+    rng = random.Random(53)
+    for _ in range(300):
+        G = _gnp(rng.randint(1, 16), rng.uniform(0.05, 0.6), rng.randrange(2**32))
+        H = nx.Graph(list(G.edges))
+        H.add_nodes_from(range(G.n))
+        for _ in range(5):
+            S = rng.randrange(1 << G.n)
+            want = nx.is_bipartite(H.subgraph([v for v in range(G.n) if S >> v & 1]))
+            assert coloring._bipartite(G.adj, S) == want
+
+
+def test_chromatic_with_the_bipartite_base_case_matches_min_cover(monkeypatch):
+    rng = random.Random(59)
+    graphs = [_gnp(rng.randint(8, 20), rng.uniform(0.1, 0.8), rng.randrange(2**32)) for _ in range(120)]
+    odd = [cycle_graph(k) for k in (3, 5, 7, 9, 21)] + [_odd_wheel(k) for k in (5, 7, 9, 19)]
+    for G in graphs + odd + [GROTZSCH, MYCIELSKI_M5]:
+        assert chromatic_number(G) == min_cover_chromatic(G)
+    # chi exceeds omega + 1 on the Mycielski graphs
+    assert (chromatic_number(GROTZSCH), _clique_number(GROTZSCH)) == (4, 2)
+    assert (chromatic_number(MYCIELSKI_M5), _clique_number(MYCIELSKI_M5)) == (5, 2)
+    # an odd cycle's only decision asks for 2 sets and enumerates nothing
+    calls = _record_enumerations(monkeypatch, coloring)
+    for k in (5, 7, 9, 21):
+        assert chromatic_number(cycle_graph(k)) == 3
+    assert calls == []
+    # an odd wheel's first decision asks for 3: the hub's one part leaves
+    # the odd cycle, which the bipartite test refuses
+    assert chromatic_number(_odd_wheel(7)) == 4
+    assert calls == [_odd_wheel(7).full_mask]
 
 
 def test_chromatic_search_work_is_bounded_by_the_min_cover(monkeypatch):
@@ -252,8 +299,9 @@ def test_chromatic_search_work_is_bounded_by_the_min_cover(monkeypatch):
 
 
 def test_chromatic_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         chromatic_number(empty_graph(30))
+    assert str(err.value) == "chromatic-number search: needs 30, budget is 24"
 
 
 def test_digraph_chromatic_examples():

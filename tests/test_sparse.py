@@ -20,7 +20,7 @@ from dicolor.sparse import (
     sparse_split,
 )
 
-from oracles import combinations_principal_dense_sets
+from oracles import combinations_principal_dense_sets, scan_degeneracy_coloring
 
 
 def test_ranked_order_examples():
@@ -299,3 +299,15 @@ def test_degeneracy_coloring_on_subset():
     assert degen == 2
     assert colors[3] is None and colors[4] is None
     assert len({colors[0], colors[1], colors[2]}) == 3
+
+
+def test_degeneracy_coloring_matches_the_scan_oracle():
+    # the chromatic number's ceiling, the orientation search's stop and the
+    # acceptance checks read this colouring, so it must not move
+    rng = random.Random(67)
+    for _ in range(600):
+        n = rng.randint(0, 30)
+        p = rng.choice((0.05, 0.2, 0.5, 0.8, 1.0))
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for within in (None, rng.randrange(1 << n), rng.randrange(1 << n) & rng.randrange(1 << n)):
+            assert degeneracy_coloring(G, within) == scan_degeneracy_coloring(G, within)
