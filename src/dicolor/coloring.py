@@ -1,13 +1,15 @@
 """Exact coloring invariants for graphs and digraphs.
 
-The chromatic number is a decision search between the clique number and
-a greedy colouring: can the uncovered vertices be covered by b independent
-sets, branching on the maximal independent sets through an uncovered vertex
-of largest degree among the uncovered ones, with failures memoised, down to
-b = 2, which is a bipartiteness test (see :func:`chromatic_number`).  The
-digraph chromatic number is a minimum-cover recursion over subsets whose
-parts are the maximal acyclic sets through the lowest uncovered vertex,
-which keeps the covers the orientation search pools (see ``_min_cover``).
+The chromatic number and the digraph chromatic number are one decision
+search (see :func:`_cover_search`): between a floor and a greedy cover, can
+the uncovered vertices be covered by b admissible sets, branching on the
+maximal admissible sets through one uncovered vertex, with failures
+memoised.  Graphs branch on a vertex of largest degree among the uncovered
+ones, cut by a clique, and answer b = 2 by a bipartiteness test (see
+:func:`chromatic_number`); digraphs branch on the lowest uncovered vertex,
+which keeps the covers the orientation search pools (see
+:func:`_acyclic_cover`).
+
 Fractional invariants solve the covering linear program in exact rational
 arithmetic; a single simplex run yields both an optimal cover and an
 optimal dual weighting with identical objectives, which is the
@@ -19,12 +21,12 @@ from __future__ import annotations
 from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from math import lcm
 from operator import eq, ne, or_
 
 from .errors import BudgetExceededError, DicolorError, InputError
-from .families import maximal_acyclic_sets, maximal_independent_sets
+from .families import _extends, maximal_acyclic_sets, maximal_independent_sets
 from .graphs import (
     Digraph,
     Graph,
@@ -33,6 +35,7 @@ from .graphs import (
     is_acyclic,
     is_forest,
     iter_bits,
+    orientations,
     random_orientation,
 )
 from .simplex import simplex_max
@@ -43,8 +46,6 @@ LP_VERTEX_BUDGET = 20
 ORIENT_EDGE_BUDGET = 20
 COVER_POOL = 8  # covers kept by the orientation search, see _best_orientation
 AUT_MAPS = 1024  # automorphism actions it collects, see _automorphism_maps
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -58,69 +59,84 @@ class CoverSolution:
         return sum((w for mask, w in self.parts if (mask >> v) & 1), Fraction(0))
 
 
-def _min_cover(full: int, parts_for) -> tuple[int, list[int]]:
-    """Minimum number of admissible parts covering ``full``, with such parts.
+def _cover_search(full: int, cover: list[int], floor: int, parts) -> list[int]:
+    """The parts of a minimum cover of ``full`` by admissible sets.
 
-    ``parts_for(S)`` must yield the maximal admissible subsets of ``S``
-    that contain one vertex of ``S`` it picks, the same vertex and the same
-    order on every call with that ``S``; correctness only needs every
-    admissible set to be contained in a maximal one.
+    ``cover`` covers ``full``, and no cover has fewer than ``floor`` parts.
+    For b = len(cover) - 1 down to ``floor``, ``search(full, b)`` looks for
+    a cover by at most b sets; the one it finds replaces ``cover``, and the
+    first b without one ends the search.  ``search(S, b)`` branches on the
+    parts M that ``parts(S, b)`` returns, and covers S - M by b - 1 sets.
+    That is exact when every cover of S by b sets has a class inside some
+    part, as the maximal admissible sets through one vertex of S are for a
+    hereditary family; ``parts`` may leave out a part whose remainder b - 1
+    sets cannot cover.  A remainder R is also cut when ``fail[R]``, the
+    largest count proven too small for R, is at least b - 1: a count too
+    small stays too small for every smaller one.  Every nonempty R fails
+    with 0 sets, the default.
 
-    :func:`_acyclic_cover` branches on the lowest vertex of S: the parts it
-    returns are the covers the orientation search pools, so another branch
-    vertex would change which orientations that search evaluates, and the
-    largest-degree rule of :func:`chromatic_number` did not make digraph
-    covers reliably faster (faster on some random orientations, slower on
-    others).  The chromatic number no longer uses this recursion.
+    With hi the ceiling, a subset searched with counts from a window of
+    hi - ``floor`` is expanded at most 2 (hi - ``floor``) times: it fails
+    with each count at most once, and a success ends its decision, of which
+    there are at most hi - ``floor``.  ``full`` is searched with counts
+    ``floor`` .. hi - 1, and a subset that d >= 1 parts reach, d the
+    fewest, with counts 1 .. hi - 1 - d, so a floor of 2 gives that window,
+    and :func:`chromatic_number` narrows it by its clique.  The minimum over
+    subsets (Lawler 1976) that this search replaced expands every subset
+    the parts reach once (``min_cover`` in the test oracles).
 
-    The memo keeps counts only; the parts are recovered afterwards by walking
-    down from ``full`` along the first part that attains each count.
+    :func:`_acyclic_cover` answers an acyclic D with [V], so its D has a
+    directed cycle, which no single acyclic set covers: the floor is 2.
+    Its ceiling peels acyclic sets, each grown from the empty set by every
+    remaining vertex, in vertex order, that closes no directed cycle with
+    the set so far (``families._extends``); the lowest remaining vertex
+    always joins, so the peeling ends.  For b >= 2 its parts are the
+    maximal acyclic sets of D[S] through the lowest vertex of S; they make
+    the covers the orientation search pools, so another branch vertex would
+    change which orientations that search evaluates.  For b = 1 the one
+    part is S when D[S] is acyclic, the one set the enumeration would give,
+    found by ``is_acyclic``, which expands nothing.
     """
-    memo: dict[int, int] = {0: 0}
+    fail: dict[int, int] = {}
 
-    def rec(S: int) -> int:
-        cached = memo.get(S)
-        if cached is not None:
-            return cached
-        best = _INF
-        for M in parts_for(S):
-            if M == S:
-                best = 1
-                break
-            sub = rec(S & ~M) + 1
-            if sub < best:
-                best = sub
-        memo[S] = best
-        return best
+    def search(S: int, b: int) -> list[int] | None:
+        # S is nonempty and has not failed with b sets
+        for M in parts(S, b):
+            R = S & ~M
+            if not R:
+                return [M]
+            if fail.get(R, 0) >= b - 1:
+                continue
+            rest = search(R, b - 1)
+            if rest is not None:
+                return [M, *rest]
+        fail[S] = b
+        return None
 
     try:
-        count = rec(full)
-    finally:
-        # rec refers to itself through its closure; emptying that cell frees
-        # the memo now instead of at the next full garbage collection
-        del rec
-    # rec(S) recursed on S & ~M for every part M up to the first one
-    # attaining memo[S], so each lookup below hits the memo
-    parts = []
-    S = full
-    while S:
-        need = memo[S] - 1
-        for M in parts_for(S):
-            if memo[S & ~M] == need:
+        while len(cover) > floor:
+            found = search(full, len(cover) - 1)
+            if found is None:
                 break
-        parts.append(M)
-        S &= ~M
-    return count, parts
+            cover = found
+    finally:
+        # search refers to itself through its closure; emptying that cell
+        # frees the memo now instead of at the next full garbage collection
+        del search
+    return cover
 
 
-def _bipartite(adj: tuple[int, ...], S: int) -> bool:
-    """Whether the subgraph induced on S is bipartite, by breadth-first
-    layers of each component with S as the unseen vertices: it is unless an
-    edge lies inside a layer (see :func:`chromatic_number`)."""
+def _bipartite(adj: tuple[int, ...], S: int) -> list[int] | None:
+    """The two classes of a 2-colouring of the subgraph induced on S, the
+    first holding the lowest vertex of each component, or None when there
+    is none (see :func:`chromatic_number`)."""
+    sides = [0, 0]
     while S:
         layer = S & -S
         S ^= layer
+        side = 0
         while layer:
+            sides[side] |= layer
             reach = 0
             rest = layer
             while rest:
@@ -128,62 +144,40 @@ def _bipartite(adj: tuple[int, ...], S: int) -> bool:
                 rest ^= low
                 nbrs = adj[low.bit_length() - 1]
                 if nbrs & layer:
-                    return False
+                    return None
                 reach |= nbrs
             layer = reach & S
             S ^= layer
-    return True
+            side ^= 1
+    return sides
 
 
 def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
     """Exact chromatic number: minimum independent sets covering V.
 
-    A decision search between two bounds.  The floor is the clique number:
-    a branch and bound over the adjacency masks finds a maximum clique K,
-    colouring the candidates greedily at each node so that a candidate of
-    colour c can add at most c vertices.  The ceiling hi is the colour count
-    of :func:`degeneracy_coloring`; the clique search stops as soon as K
-    has hi vertices, and then nothing else is searched.  Otherwise the
-    search asks, for b = hi - 1, hi - 2, ... down to |K|, whether V is
-    covered by b independent sets, and the first b that fails gives
-    chi = b + 1.
+    A :func:`_cover_search` from the hi colour classes of
+    :func:`degeneracy_coloring` down to the clique number.  A branch and
+    bound over the adjacency masks finds a maximum clique K, colouring the
+    candidates greedily at each node so that a candidate of colour c can
+    add at most c vertices; it stops once K has hi vertices, and then
+    nothing is searched.  For b >= 3 the parts of S are the maximal
+    independent sets of G[S] through a vertex v of largest degree in G[S]
+    (the lowest on ties), so the remainders are the smallest.  A part whose
+    remainder holds more than b - 1 vertices of K is left out, since an
+    independent set holds at most one.  So a subset that d parts reach, d
+    the fewest, keeps |K| - d vertices of K and is searched with counts
+    |K| - d .. hi - 1 - d, and is expanded at most 2 (hi - |K|) times.
 
-    ``feasible(S, 2)`` asks whether G[S] is bipartite, and answers by a
+    For b <= 2 the one part is the first class of :func:`_bipartite`, a
     breadth-first 2-colouring over the adjacency masks, one component at a
     time.  An edge of G[S] joins two vertices in the same or in adjacent
     layers.  If no edge lies inside a layer, the layer parities colour G[S]
     with two colours.  If an edge uv lies inside layer i, the paths from u
-    and from v back to the root, together with uv, form a closed walk of
-    length 2i + 1.  An odd closed walk holds an odd cycle, which no two
-    independent sets cover (König).  The test records nothing in ``fail``.
-    No call reaches b = 1: a decision asks b >= |K| >= 2, since a graph
-    with an edge has a clique of 2 and an edgeless one has hi = 1 and asks
-    nothing, and a call with b >= 3 recurses with b - 1 >= 2.
-
-    ``feasible(S, b)`` for b >= 3 branches on a vertex v of largest degree
-    in G[S] (the lowest on ties): the parts are v plus the maximal
-    independent sets of G[S] minus v and its neighbours, the smallest such
-    remainder, so the branching is narrow.  It is exact: in a cover of S by
-    b independent sets, the class containing v extends to a maximal
-    independent set M of G[S] through v, and the other b - 1 classes cover
-    S minus M.  A part that leaves R uncovered is cut without a call when R
-    holds more than b - 1 vertices of K, since an independent set holds at
-    most one of them, or when R already failed with b - 1 or more sets:
-    ``fail[R]`` is the largest count proven too small for R, and a count
-    too small stays too small for every smaller one.  Every nonempty R
-    fails with 0 sets, the default.
-
-    The work is bounded by that of the exact minimum over subsets (Lawler
-    1976), which this search replaced: it expands every subset the parts
-    reach, once each (``min_cover_chromatic`` in the test oracles).  A
-    subset S reached after removing d parts keeps at least |K| - d vertices
-    of K and is searched with at most hi - 1 - d sets, so taking the fewest
-    such d, S is searched with one of hi - |K| counts.  It fails with each
-    count at most once, and a success ends its decision, of which there are
-    at most hi - |K|.  So S is expanded at most 2 (hi - |K|) times.  The
-    bipartite test expands nothing: it only takes the place of expansions
-    at b = 2, so the bound still holds, and it runs at most once per part
-    enumerated at b = 3 or per decision.
+    and from v back to the root, with uv, form a closed walk of length
+    2i + 1, which holds an odd cycle, and no two independent sets cover
+    that (König).  At b = 2 the remainder is the other class, whose own
+    first class is all of it; at b = 1 the first class is S exactly when S
+    is independent.  The test expands nothing.
     """
     if G.n > vertex_budget:
         raise BudgetExceededError("chromatic-number search", G.n, vertex_budget)
@@ -191,7 +185,8 @@ def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
         return 0
     adj = G.adj
     full = G.full_mask
-    hi = max(degeneracy_coloring(G)[1]) + 1
+    colors = degeneracy_coloring(G)[1]
+    hi = max(colors) + 1
     clique = 0  # the largest clique found so far
 
     def grow(R: int, P: int) -> bool:
@@ -225,39 +220,27 @@ def chromatic_number(G: Graph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
             P ^= low
         return True
 
-    fail: dict[int, int] = {}
-
-    def feasible(S: int, b: int) -> bool:
-        # S is nonempty, with at most b vertices of the clique, and has not
-        # failed with b sets
-        if b == 2:
-            return _bipartite(adj, S)
+    def parts(S: int, b: int):
+        if b <= 2:
+            sides = _bipartite(adj, S)
+            return () if sides is None else sides[:1]
         v = max(iter_bits(S), key=lambda u: (adj[u] & S).bit_count())
-        for M in maximal_independent_sets(G, within=S, containing=v):
-            R = S & ~M
-            if not R:
-                return True
-            if (clique & R).bit_count() > b - 1 or fail.get(R, 0) >= b - 1:
-                continue
-            if feasible(R, b - 1):
-                return True
-        fail[S] = b
-        return False
+        return (M for M in maximal_independent_sets(G, within=S, containing=v)
+                if (clique & S & ~M).bit_count() < b)
 
     try:
         grow(0, full)
-        # no colouring has fewer colours than the clique, so the decisions
-        # stop there, and none is asked when the clique meets hi
-        chi = clique.bit_count()
-        for b in range(hi - 1, chi - 1, -1):
-            if not feasible(full, b):
-                chi = b + 1
-                break
     finally:
-        # grow and feasible refer to themselves through their closures, as
-        # in _min_cover; emptying the cells frees the memo now
-        del grow, feasible
-    return chi
+        del grow  # it refers to itself, as search does in _cover_search
+    # no colouring has fewer colours than the clique, so the decisions stop
+    # there, and none is asked when the clique meets hi
+    floor = clique.bit_count()
+    if floor == hi:
+        return hi
+    classes = [0] * hi
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
+    return len(_cover_search(full, classes, floor, parts))
 
 
 def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> int:
@@ -266,14 +249,32 @@ def digraph_chromatic_number(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) 
 
 
 def _acyclic_cover(D: Digraph, vertex_budget: int = DP_VERTEX_BUDGET) -> tuple[int, list[int]]:
-    """Size and parts of a minimum cover of V by acyclic sets of D."""
+    """Size and parts of a minimum cover of V by acyclic sets of D, by
+    :func:`_cover_search` (the floor, ceiling and parts are proven there)."""
     n = D.graph.n
     if n > vertex_budget:
-        raise BudgetExceededError("digraph-chromatic DP", n, vertex_budget)
-    return _min_cover(
-        D.graph.full_mask,
-        lambda S: maximal_acyclic_sets(D, within=S, containing=(S & -S).bit_length() - 1),
-    )
+        raise BudgetExceededError("digraph-chromatic search", n, vertex_budget)
+    full = D.graph.full_mask
+    if is_acyclic(D):
+        return (1, [full]) if full else (0, [])
+    in_masks, adj = D.in_masks, D.graph.adj
+    cover = []
+    rest = full
+    while rest:
+        part = 0
+        for v in iter_bits(rest):
+            if _extends(in_masks, adj, part, v):
+                part |= 1 << v
+        cover.append(part)
+        rest ^= part
+
+    def parts(S: int, b: int):
+        if b == 1:
+            return (S,) if is_acyclic(D, S) else ()
+        return maximal_acyclic_sets(D, within=S, containing=(S & -S).bit_length() - 1)
+
+    cover = _cover_search(full, cover, 2, parts)
+    return len(cover), cover
 
 
 def _automorphism_maps(G: Graph) -> list[tuple[list[int], int]]:
@@ -385,7 +386,8 @@ def _automorphism_maps(G: Graph) -> list[tuple[list[int], int]]:
     try:
         extend(0, 0)
     finally:
-        # extend refers to itself through its closure, as in _min_cover
+        # extend refers to itself through its closure, as search does in
+        # _cover_search
         del extend
     return maps
 
@@ -401,8 +403,8 @@ def _orderly_orientations(
     levels) pairs and may instead be sent once, after any yield, with
     ``send(maps)``, which returns None; the codes after the one just
     yielded are then tested.  Until some action exists nothing is left
-    out, and the codes are counted up with the in-masks carried from code
-    to code, as in ``graphs.orientations``.  From then on the codes come
+    out, and the codes come from ``graphs.orientations``, which counts them
+    up with the in-masks carried from code to code.  From then on they come
     from a depth-first search that fixes the bits from e-2 down to 0, 0
     before 1, and prunes a prefix whose every completion would be left out
     (the proof is in :func:`_best_orientation`); the in-masks go from one
@@ -411,21 +413,7 @@ def _orderly_orientations(
     m = len(G.edges)
     half = 1 << (m - 1)
     full = (1 << m) - 1
-    toggles = [(u, 1 << v, v, 1 << u) for u, v in G.edges]
-    carries = [toggles[:j] for j in range(m + 1)]
-    inc = [0] * G.n
-    for u, bv, _, _ in toggles:
-        inc[u] |= bv  # code 0 orients every edge (u, v) as v -> u
-    new = Digraph.__new__
-    for code in range(half):
-        if code:
-            for u, bv, v, bu in carries[(code ^ (code - 1)).bit_length()]:
-                inc[u] ^= bv
-                inc[v] ^= bu
-        D = new(Digraph)
-        D.graph = G
-        D.bits = code
-        D.in_masks = tuple(inc)
+    for D in islice(orientations(G), half):
         sent = yield D
         if sent is not None:
             maps = sent
@@ -434,6 +422,10 @@ def _orderly_orientations(
             break
     else:
         return
+    code = D.bits
+    inc = list(D.in_masks)
+    toggles = [(u, 1 << v, v, 1 << u) for u, v in G.edges]
+    new = Digraph.__new__
 
     # where each 4-bit chunk of a code sits and where its 16 entries start in
     # an action

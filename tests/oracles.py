@@ -13,15 +13,14 @@ whose order the list-built one must keep set for set,
 ``combinations_principal_dense_sets``, the subset scan whose sets, order
 and cap refusals the depth-first principal-dense search must keep,
 ``fraction_check_certificate``, the Fraction certificate check whose
-verdicts and messages the integer one must keep, ``min_cover_chromatic``,
-the minimum over subsets that the chromatic number's decision search
-replaced, whose work bounds the search's, ``scan_degeneracy_coloring``,
-the live-set scan whose degeneracy and colours the degree-mask elimination
-must keep, and
-``uncached_pooled_search``, the orientation search that calls
-``is_acyclic`` on every pooled set it checks and finds the orbit skip's
-automorphisms by trying every vertex permutation, whose pool and orbit
-decisions the library's search must keep.  ``orbit_minimal_codes`` tests
+verdicts and messages the integer one must keep, ``min_cover``, the
+minimum over subsets that the cover decision search replaced, whose work
+bounds the search's, and ``min_cover_chromatic`` on top of it,
+``scan_degeneracy_coloring``, the live-set scan whose degeneracy and colours
+the degree-mask elimination must keep, and ``uncached_pooled_search``, the
+orientation search that calls ``is_acyclic`` on every pooled set it checks
+and finds the orbit skip's automorphisms by trying every vertex permutation,
+whose pool and orbit decisions the library's search must keep.  ``orbit_minimal_codes`` tests
 every code against every given automorphism, the code-by-code skip whose
 codes the pruned depth-first search must yield.
 """
@@ -33,7 +32,6 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator
 
-from dicolor.coloring import _min_cover
 from dicolor.errors import BudgetExceededError, DicolorError, InputError
 from dicolor.families import maximal_independent_sets
 from dicolor.graphs import Graph, is_acyclic, iter_bits, mask_of
@@ -314,9 +312,49 @@ def milp_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
     return round(res.fun)
 
 
+def min_cover(full: int, parts_for) -> tuple[int, list[int]]:
+    """Minimum number of admissible parts covering ``full``, with such parts:
+    the minimum over subsets (Lawler 1976) that ``chromatic_number`` and
+    ``_acyclic_cover`` computed before their decision search.
+
+    ``parts_for(S)`` must yield the maximal admissible subsets of ``S``
+    that contain one vertex of ``S`` it picks, the same vertex and the same
+    order on every call with that ``S``; correctness only needs every
+    admissible set to be contained in a maximal one.  The memo keeps counts
+    only; the parts are recovered afterwards by walking down from ``full``
+    along the first part that attains each count.
+    """
+    memo: dict[int, float] = {0: 0}
+
+    def rec(S: int) -> float:
+        cached = memo.get(S)
+        if cached is not None:
+            return cached
+        best = float("inf")
+        for M in parts_for(S):
+            if M == S:
+                best = 1
+                break
+            best = min(best, rec(S & ~M) + 1)
+        memo[S] = best
+        return best
+
+    count = rec(full)
+    # rec(S) recursed on S & ~M for every part M up to the first one
+    # attaining memo[S], so each lookup below hits the memo
+    parts = []
+    S = full
+    while S:
+        need = memo[S] - 1
+        M = next(M for M in parts_for(S) if memo[S & ~M] == need)
+        parts.append(M)
+        S &= ~M
+    return int(count), parts
+
+
 def min_cover_chromatic(G: Graph) -> int:
     """The chromatic number as ``chromatic_number`` computed it before the
-    decision search: the minimum over subsets of ``_min_cover``, branching
+    decision search: the minimum over subsets of ``min_cover``, branching
     on the maximal independent sets through a vertex of largest degree in
     G[S], the lowest on ties."""
     adj = G.adj
@@ -325,7 +363,7 @@ def min_cover_chromatic(G: Graph) -> int:
         v = max(iter_bits(S), key=lambda u: (adj[u] & S).bit_count())
         return maximal_independent_sets(G, within=S, containing=v)
 
-    return _min_cover(G.full_mask, parts_for)[0]
+    return min_cover(G.full_mask, parts_for)[0]
 
 
 def scan_degeneracy_coloring(G: Graph, within: int | None = None) -> tuple[int, list[int | None]]:

@@ -398,7 +398,8 @@ def test_sampled_dichif_on_a_forest_needs_a_trial(tmp_path, capsys):
 
 
 def test_sampled_dichi_on_a_large_forest_is_one(tmp_path, capsys):
-    # past the 24-vertex DP budget a forest still answers 1, as in exact mode
+    # past the 24-vertex budget of the digraph-chromatic search a forest
+    # still answers 1, as in exact mode
     path = write(tmp_path, "p30.json", json.dumps(graph_to_dict(path_graph(30))))
     for mode, key in (("exact", "dichi"), ("mc", "dichi_lower_bound")):
         code, out, _ = run_cli(capsys, "compute", "dichi", path, "--mode", mode)

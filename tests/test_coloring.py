@@ -32,6 +32,7 @@ from dicolor.graphs import (
     derive_rng,
     empty_graph,
     is_forest,
+    iter_bits,
     orientations,
     path_graph,
     random_orientation,
@@ -83,25 +84,83 @@ def test_chromatic_matches_bruteforce():
         assert chromatic_number(G) == brute_chromatic(G.n, list(G.edges))
 
 
-def test_min_cover_parts_are_an_admissible_cover():
-    # the parts recovered from the count memo: admissible, covering every
-    # vertex, and as many as the count, which is the brute-force optimum
+def _min_acyclic_cover(D, reached):
+    # the oracle's count on the parts the library's search branches on; the
+    # subsets it expands go to reached
+    def parts_for(S):
+        reached.append(S)
+        return maximal_acyclic_sets(D, within=S, containing=(S & -S).bit_length() - 1)
+
+    return oracles.min_cover(D.graph.full_mask, parts_for)[0]
+
+
+def test_min_cover_parts_are_an_admissible_cover(monkeypatch):
+    # the oracle's parts, recovered from its count memo, and the decision
+    # search's: admissible, covering every vertex, and as many as the count,
+    # which is the brute-force optimum
     rng = random.Random(17)
     for _ in range(40):
         G = _random_graph(rng)
         # any branch vertex of S will do, each call must just pick the same one
-        count, parts = coloring._min_cover(
+        count, parts = oracles.min_cover(
             G.full_mask,
             lambda S: maximal_independent_sets(G, within=S, containing=S.bit_length() - 1),
         )
         assert count == len(parts) == brute_chromatic(G.n, list(G.edges))
         assert all(not G.adj[v] & part for part in parts for v in range(G.n) if part >> v & 1)
         assert reduce(or_, parts, 0) == G.full_mask
-        D = random_orientation(G, rng.randrange(2**32))
+    ceilings = []
+    search = coloring._cover_search
+
+    def recorded(full, cover, floor, parts):
+        ceilings.append(len(cover))
+        return search(full, cover, floor, parts)
+
+    monkeypatch.setattr(coloring, "_cover_search", recorded)
+    expanded = []
+    enumerate_sets = coloring.maximal_acyclic_sets
+
+    def recording(D, within=None, containing=None):
+        expanded.append(within)
+        return enumerate_sets(D, within, containing)
+
+    monkeypatch.setattr(coloring, "maximal_acyclic_sets", recording)
+    # the empty digraph, acyclic ones, every tournament on at most 5
+    # vertices, the Paley tournament P7 (chi 3) and random orientations
+    paley = Digraph.from_arcs(complete_graph(7), [(i, (i + s) % 7) for i in range(7) for s in (1, 2, 4)])
+    digraphs = [Digraph(empty_graph(0), 0), Digraph(empty_graph(4), 0), Digraph(path_graph(6), 5),
+                Digraph(complete_graph(6), 0), paley]
+    for m in range(1, 6):
+        K = complete_graph(m)
+        digraphs += [Digraph(K, code) for code in range(1 << len(K.edges))]
+    for _ in range(200):
+        n = rng.randint(6, 12)
+        p = rng.choice((0.4, 0.6, 0.8))
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        digraphs.append(random_orientation(G, rng.randrange(2**32)))
+    above = 0
+    for D in digraphs:
+        ceilings.clear()
+        expanded.clear()
         count, parts = coloring._acyclic_cover(D)
-        assert count == len(parts) == brute_digraph_chromatic(G.n, D.arcs())
-        assert not any(dfs_has_cycle(G.n, D.arcs(), part) for part in parts)
-        assert reduce(or_, parts, 0) == G.full_mask
+        n, arcs = D.graph.n, D.arcs()
+        reached = []
+        assert count == len(parts) == _min_acyclic_cover(D, reached)
+        # every subset the search expands, the oracle expands too, and at
+        # most 2 (hi - 2) times for a greedy ceiling of hi
+        times = Counter(expanded)
+        assert times.keys() <= set(reached)
+        assert max(times.values(), default=0) <= 2 * (max(ceilings, default=2) - 2)
+        # the brute force tries count^n colourings
+        if count <= 2 or n <= 9:
+            assert count == brute_digraph_chromatic(n, arcs)
+        assert not any(dfs_has_cycle(n, arcs, part) for part in parts)
+        assert reduce(or_, parts, 0) == D.graph.full_mask
+        # the greedy ceiling is the cover the search starts from
+        above += bool(ceilings) and ceilings[0] > count
+    assert coloring._acyclic_cover(paley)[0] == 3
+    # so the decisions run on some inputs (on 20 of them)
+    assert above >= 10
 
 
 def _disjoint_union(*graphs):
@@ -257,7 +316,13 @@ def test_bipartite_test_matches_networkx():
         for _ in range(5):
             S = rng.randrange(1 << G.n)
             want = nx.is_bipartite(H.subgraph([v for v in range(G.n) if S >> v & 1]))
-            assert coloring._bipartite(G.adj, S) == want
+            sides = coloring._bipartite(G.adj, S)
+            assert (sides is not None) == want
+            if sides is not None:
+                # two independent classes covering S
+                A, B = sides
+                assert A | B == S and not A & B
+                assert all(not G.adj[v] & side for side in sides for v in iter_bits(side))
 
 
 def test_chromatic_with_the_bipartite_base_case_matches_min_cover(monkeypatch):
@@ -302,6 +367,9 @@ def test_chromatic_budget():
     with pytest.raises(BudgetExceededError) as err:
         chromatic_number(empty_graph(30))
     assert str(err.value) == "chromatic-number search: needs 30, budget is 24"
+    with pytest.raises(BudgetExceededError) as err:
+        digraph_chromatic_number(Digraph(empty_graph(30), 0))
+    assert str(err.value) == "digraph-chromatic search: needs 30, budget is 24"
 
 
 def test_digraph_chromatic_examples():
@@ -994,9 +1062,11 @@ def test_orientation_search_edges_agree():
             search(complete_graph(7))
         gates.append((exc.value.what, exc.value.needed, exc.value.limit))
     assert gates[0] == gates[1] == (gates[0][0], 2**21, 2**20)
-    # past the 24-vertex DP budget a non-forest is still refused when sampled
-    with pytest.raises(BudgetExceededError):
+    # past the 24-vertex budget of the digraph-chromatic search a non-forest
+    # is still refused when sampled
+    with pytest.raises(BudgetExceededError) as exc:
         dichromatic_lower_bound_mc(complete_graph(25), trials=4)
+    assert str(exc.value) == "digraph-chromatic search: needs 25, budget is 24"
 
 
 def test_dichromatic_mc_exhaustive_exactly_when_trials_cover_all_codes():
