@@ -22,11 +22,16 @@ from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice
-from math import lcm
+from math import ceil, lcm
 from operator import eq, ne, or_
 
 from .errors import BudgetExceededError, DicolorError, InputError
-from .families import _extends, maximal_acyclic_sets, maximal_independent_sets
+from .families import (
+    _extends,
+    _maximal_induced_forests,
+    maximal_acyclic_sets,
+    maximal_independent_sets,
+)
 from .graphs import (
     Digraph,
     Graph,
@@ -44,6 +49,8 @@ from .sparse import Weighting, degeneracy_coloring
 DP_VERTEX_BUDGET = 24
 LP_VERTEX_BUDGET = 20
 ORIENT_EDGE_BUDGET = 20
+# the stage a sampled search (--mode mc) past 2^ORIENT_EDGE_BUDGET orientations names
+_SAMPLE_STAGE = "sampled orientation search (--mode mc / trials=N)"
 COVER_POOL = 8  # covers kept by the orientation search, see _best_orientation
 AUT_MAPS = 1024  # automorphism actions it collects, see _automorphism_maps
 
@@ -537,20 +544,58 @@ def _tournament_bound(m: int) -> int:
     return colors
 
 
-def _orientation_stop(G: Graph) -> int:
+# dichi(K_m) and dichif(K_m) for m <= 6: the largest chi(T) and chi_f(T)
+# over the tournaments T on m vertices, as computed by this search with its
+# stops off (tests/test_coloring.py recomputes them)
+_COMPLETE_DICHI = (0, 1, 1, 2, 2, 2, 2)
+_COMPLETE_DICHIF = (0, 1, 1, Fraction(3, 2), Fraction(3, 2), Fraction(7, 4), 2)
+
+
+def _orientation_stop(G: Graph, complete: tuple = _COMPLETE_DICHI) -> int | Fraction:
     """The value at which the orientation search of a non-forest G stops:
     an upper bound on chi(D) for every orientation D of G, the smallest of
     k // 2 + 1 for a k-degenerate G, the colours of the greedy colouring
-    along a degeneracy order, and the largest t(|B|) of
-    :func:`_tournament_bound` over the blocks B of G.  The proofs are in
-    :func:`_best_orientation`.
+    along a degeneracy order, and the largest bound over the blocks B of G,
+    ``complete[|B|]`` for |B| <= 6 and t(|B|) of :func:`_tournament_bound`
+    above.  With ``complete`` the dichif(K_m) column it bounds chi_f(D)
+    instead.  The proofs are in :func:`_best_orientation`.
     """
     k, colors = degeneracy_coloring(G)
     stop = min(k // 2 + 1, max(colors) + 1)
-    if stop > 2:
+    if stop > complete[3]:
         # a non-forest has a block with a cycle, of at least 3 vertices, and
-        # t(3) = 2, so the blocks can only lower a stop above 2
-        stop = min(stop, max(_tournament_bound(B.bit_count()) for B in blocks(G)))
+        # the block bound grows with the size, so the blocks can only lower a
+        # stop above complete[3]
+        stop = min(stop, max(complete[s] if s < len(complete) else _tournament_bound(s)
+                             for s in map(int.bit_count, blocks(G))))
+    return stop
+
+
+def _has_clique(adj: tuple[int, ...], P: int, q: int) -> bool:
+    """True when the vertices of P hold a clique on q >= 1 vertices."""
+    if q == 1:
+        return bool(P)
+    while P.bit_count() >= q:
+        low = P & -P
+        P ^= low
+        if _has_clique(adj, P & adj[low.bit_length() - 1], q - 1):
+            return True
+    return False
+
+
+def _fractional_stop(G: Graph) -> int | Fraction:
+    """The value at which the ``dichif`` search of a non-forest G stops:
+    an upper bound on chi_f(D) for every orientation D of G, the smallest
+    of :func:`_orientation_stop` with the dichif(K_m) column and va_f(G),
+    the covering LP over the maximal induced forests of G
+    (:func:`families._maximal_induced_forests`).  va_f is not computed,
+    and never refused, when G has more vertices than the LP gate or holds
+    a clique on ceil(2 stop) vertices, where it cannot lower the stop.
+    The proofs are in :func:`_best_orientation`.
+    """
+    stop = _orientation_stop(G, _COMPLETE_DICHIF)
+    if G.n <= LP_VERTEX_BUDGET and not _has_clique(G.adj, G.full_mask, ceil(2 * stop)):
+        stop = min(stop, _solve_cover_lp(G.n, _maximal_induced_forests(G))[0])
     return stop
 
 
@@ -564,9 +609,10 @@ def _best_orientation(
     the orientations are enumerated as binary counters, gated by
     ``edge_budget``; only the codes below 2^(e-1) are visited, since
     reversing every arc keeps the value.  Otherwise the orientations are
-    the seeded samples ``derive_rng(seed, i)`` for ``i < trials``.  The
-    empty graph gives 0, and every orientation of a forest is acyclic, so
-    forests short-circuit to 1.
+    the seeded samples ``derive_rng(seed, i)`` for ``i < trials``, gated
+    before the first by 2^``ORIENT_EDGE_BUDGET`` samples.  The empty graph
+    gives 0, and every orientation of a forest is acyclic, so forests
+    short-circuit to 1.
 
     The search stops as soon as the best value reaches ``k // 2 + 1``,
     where k is the degeneracy of G, because no orientation D exceeds it:
@@ -583,17 +629,44 @@ def _best_orientation(
     chi(D) <= chi(G).  It colours a complete bipartite graph with 2, so
     K_{4,5} stops at 2 where the degeneracy bound is 3.
 
-    The stop is lowered again to the largest t(|B|) over the blocks B of
-    G (:func:`graphs.blocks`, :func:`_tournament_bound`).  A directed cycle
-    of D is a cycle of G, so it lies inside one block, and chi(D) is the
-    largest chi(D[B]): colour each block with its own acyclic sets, and
-    add the blocks one at a time along the block-cut tree, each meeting the
-    ones coloured before in one cut vertex, permuting its colours to agree
-    there; a class then holds a directed cycle only if one block's class
-    does.  Adding an arc between every non-adjacent pair of B turns D[B]
-    into a tournament T, and a set acyclic in T is acyclic in D[B], so
-    chi(D[B]) <= chi(T) <= t(|B|).  This gives t(5) = 2 and t(7) = t(8) =
-    3, the dichromatic numbers of K5, K7 and K8.
+    The stop is lowered again to the largest bound over the blocks B of G
+    (:func:`graphs.blocks`).  A directed cycle of D is a cycle of G, so it
+    lies inside one block, and chi(D) is the largest chi(D[B]): colour each
+    block with its own acyclic sets, and add the blocks one at a time along
+    the block-cut tree, each meeting the ones coloured before in one cut
+    vertex, permuting its colours to agree there; a class then holds a
+    directed cycle only if one block's class does.  Adding an arc between
+    every non-adjacent pair of B turns D[B] into a tournament T, and adding
+    arcs only removes acyclic sets, so chi(D[B]) <= chi(T) <= dichi(K_|B|),
+    the largest chi over the tournaments on |B| vertices.  That is read
+    from ``_COMPLETE_DICHI`` for |B| <= 6, which gives 2 for K6, and bounded
+    by t(|B|) of :func:`_tournament_bound` above; t(7) = t(8) = 3 are the
+    dichromatic numbers of K7 and K8.
+
+    Fractional values (``dichif``) stop at :func:`_fractional_stop`, the
+    smallest of three bounds on chi_f(D) for every orientation D, with the
+    same witness argument.  First, chi_f(D) <= chi(D), so the degeneracy
+    and colour stops hold.  Second, chi_f(D[B]) <= chi_f(T) <= dichif(K_|B|)
+    for the tournament T above, read from ``_COMPLETE_DICHIF`` for |B| <= 6
+    and bounded by t(|B|) above.  And chi_f(D) is at most x, the largest
+    chi_f(D[B]).  Lay an optimal fractional cover of each D[B] out on
+    [0, x) as acyclic sets A_B(s): its sets on intervals as long as their
+    weights, then empty sets.  Trim each so that every vertex of B lies in
+    A_B(s) for s in a set of length exactly 1; subsets of acyclic sets are
+    acyclic.  Add the blocks along the block-cut tree, each meeting the
+    union H of the ones placed before in one cut vertex c: move B's
+    intervals around [0, x), cutting them where needed but never
+    stretching them, so that c lies in A_B(s) exactly where it lies in the
+    sets placed for H; both are sets of length 1.  At each s the union of
+    all A_B(s) is then acyclic, since a directed cycle lies in one block B,
+    where the other sets add at most a cut vertex that A_B(s) already
+    holds.  So D has a fractional cover of weight x.  Third, a set inducing
+    a forest of G holds no cycle of G, so it is acyclic in every D, and
+    chi_f(D) <= va_f(G), the covering LP over the maximal induced forests
+    of G.  A clique Q of G meets an induced forest in at most 2 vertices,
+    so a cover by induced forests weighs at least |Q| / 2.  With s the
+    smaller of the first two bounds, a clique on ceil(2 s) vertices gives
+    va_f(G) >= s, so the LP is skipped when G holds one.
 
     With integer values (``integer``, the ``dichi`` searches) and a stop
     of 2, an orientation is returned as the witness with value 2 without
@@ -690,11 +763,13 @@ def _best_orientation(
         # first: the first maximum lies in the lower half of the codes
         digraphs = _orderly_orientations(G)
     else:
+        if trials > 1 << ORIENT_EDGE_BUDGET:
+            raise BudgetExceededError(_SAMPLE_STAGE, trials, 2**ORIENT_EDGE_BUDGET)
         digraphs = (random_orientation(G, derive_rng(seed, i)) for i in range(trials))
     # the automorphisms are collected at the first value that does not raise
     # the best; samples come in no code order, so they are never skipped
     collect = trials is None
-    bound = _orientation_stop(G)
+    bound = _orientation_stop(G) if integer else _fractional_stop(G)
     # while the best is 1 an orientation the pool does not skip has value 2
     # when the values are integers and the stop is 2
     cycle_stop = integer and bound == 2
@@ -758,10 +833,15 @@ def dichromatic_lower_bound_mc(G: Graph, trials: int, seed: int = 0) -> tuple[in
     """Best digraph chromatic number over sampled orientations.
 
     The result is a certified lower bound on the dichromatic number.  If
-    2^e <= trials the search is exhaustive and the bound is exact.
+    2^e <= trials the search is exhaustive and the bound is exact.  Either
+    way a non-forest is refused before the first orientation when the
+    search could evaluate more than 2^``ORIENT_EDGE_BUDGET`` of them: the
+    trials, or the 2^(e-1) codes of the exhaustive search.
     """
     m = len(G.edges)
     exhaustive = trials >= 1 and m < trials.bit_length()
+    if exhaustive and m - 1 > ORIENT_EDGE_BUDGET and not is_forest(G):
+        raise BudgetExceededError(_SAMPLE_STAGE, 2 ** (m - 1), 2**ORIENT_EDGE_BUDGET)
     return _best_orientation(G, _acyclic_cover, None if exhaustive else trials, seed, m, integer=True)
 
 
@@ -859,7 +939,8 @@ def fractional_dichromatic(
     orientations and returns a certified lower bound.  The LP value depends
     only on the family of maximal acyclic sets, and many orientations share
     one, so each distinct family is solved once; the positive-weight sets of
-    its optimal cover are what the search pools.
+    its optimal cover are what the search pools.  The search stops at
+    :func:`_fractional_stop`, an upper bound over every orientation.
     """
     covers: dict[tuple[int, ...], tuple[Fraction, list[int]]] = {}
 

@@ -19,7 +19,7 @@ from dicolor.io import (
     parse_fraction,
     parse_graph_text,
 )
-from dicolor.graphs import complete_graph, path_graph
+from dicolor.graphs import Graph, complete_graph, path_graph
 from dicolor.sparse import Weighting
 from fractions import Fraction
 
@@ -404,6 +404,37 @@ def test_sampled_dichi_on_a_large_forest_is_one(tmp_path, capsys):
     for mode, key in (("exact", "dichi"), ("mc", "dichi_lower_bound")):
         code, out, _ = run_cli(capsys, "compute", "dichi", path, "--mode", mode)
         assert code == 0 and json.loads(out)["results"][key] == 1
+
+
+@pytest.mark.parametrize("invariant, needed", [("dichif", 2**31 + 1), ("dichi", 2**29)])
+def test_sampled_search_past_the_orientation_budget_is_refused(tmp_path, invariant, needed):
+    # K_{5,6} has 30 edges, so 2^31 trials are a sampled dichif search and an
+    # exhaustive dichi one over 2^29 codes; both ran past a 20 s timeout
+    # with no gate
+    k56 = Graph(11, [(a, 5 + b) for a in range(5) for b in range(6)])
+    path = write(tmp_path, "k56.json", json.dumps(graph_to_dict(k56)))
+    done = run_cli_process("compute", invariant, path, "--mode", "mc",
+                           "--trials", str(2**31 + 1), timeout=20)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    error = json.loads(done.stderr)["error"]
+    assert error["kind"] == "budget-exceeded"
+    assert error["message"].startswith("sampled orientation search")
+    assert (error["needed"], error["limit"]) == (str(needed), str(2**20))
+
+
+def test_sampled_search_within_the_orientation_budget_runs(tmp_path):
+    # 10^7 trials on K5 (10 edges) enumerate its 2^9 lower codes, and a
+    # forest needs no orientation however many trials are asked for
+    k5 = write(tmp_path, "k5.json", json.dumps(graph_to_dict(complete_graph(5))))
+    done = run_cli_process("compute", "dichi", k5, "--mode", "mc", "--trials", "10000000")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["dichi_lower_bound"] == 2
+    p30 = write(tmp_path, "p30.json", json.dumps(graph_to_dict(path_graph(30))))
+    for invariant, key, answer in (("dichi", "dichi_lower_bound", 1), ("dichif", "dichif", "1/1")):
+        done = run_cli_process("compute", invariant, p30, "--mode", "mc", "--trials", str(2**40))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["results"][key] == answer
 
 
 @pytest.mark.parametrize("argv", [

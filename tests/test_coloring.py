@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
+from math import ceil, lcm
 from operator import or_
 
 import networkx as nx
@@ -491,6 +491,87 @@ def test_orientation_stop_is_never_below_the_dichromatic_number():
     assert lowered >= 4
 
 
+def _without_stops(monkeypatch):
+    # a stop above every value: the searches walk every code they keep
+    monkeypatch.setattr(coloring, "_orientation_stop", lambda G, complete=None: G.n + 1)
+    monkeypatch.setattr(coloring, "_fractional_stop", lambda G: G.n + 1)
+
+
+def test_complete_graph_tables_are_what_the_search_computes(monkeypatch):
+    # dichi(K_m) and dichif(K_m) for m <= 6, recomputed with the stops off,
+    # since a stop read from a wrong table would return that table's value
+    _without_stops(monkeypatch)
+    for m in range(1, 7):
+        G = complete_graph(m)
+        assert dichromatic_number_exact(G)[0] == coloring._COMPLETE_DICHI[m]
+        assert fractional_dichromatic(G) == coloring._COMPLETE_DICHIF[m]
+    assert coloring._COMPLETE_DICHI[1:] == (1, 1, 2, 2, 2, 2)
+    assert coloring._COMPLETE_DICHIF[1:] == (1, 1, Fraction(3, 2), Fraction(3, 2),
+                                             Fraction(7, 4), 2)
+
+
+def _forest_cover_value(G):
+    # va_f(G), the covering LP over the maximal induced forests
+    return coloring._solve_cover_lp(G.n, coloring._maximal_induced_forests(G))[0]
+
+
+def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkeypatch):
+    # the stop against the stop-free search on the 300 stop graphs, and that
+    # search against the brute-force LP over every lower-half code where
+    # basis enumeration is cheap (n <= 5, m <= 7: 97 graphs; K5 alone takes
+    # about 20 s).  va_f is computed on every graph, also where the clique
+    # test skips it, and must then be at least the stop
+    graphs = _stop_graphs()
+    stops = [coloring._fractional_stop(G) for G in graphs]
+    table_stops = [coloring._orientation_stop(G, coloring._COMPLETE_DICHIF) for G in graphs]
+    _without_stops(monkeypatch)
+    families = {}
+    skipped = brute = reached = 0
+    for G, stop, table_stop in zip(graphs, stops, table_stops):
+        value = fractional_dichromatic(G)
+        assert stop >= value
+        reached += stop == value
+        forests = _forest_cover_value(G)
+        if coloring._has_clique(G.adj, G.full_mask, ceil(2 * table_stop)):
+            skipped += 1
+            assert stop == table_stop <= forests
+        else:
+            assert stop == min(table_stop, forests)
+        if G.n <= 5 and len(G.edges) <= 7:
+            brute += 1
+            best = 0
+            for D in _lower_codes(G):
+                key = (G.n, tuple(sorted(maximal_acyclic_sets(D))))
+                if key not in families:
+                    families[key] = digraph_fractional_bruteforce(G.n, D.arcs())
+                best = max(best, families[key])
+            assert best == value
+    assert graphs[0] == K5 and stops[0] == Fraction(7, 4)
+    # the stop is the answer on 250 of them, the clique test skips va_f on
+    # 155, and va_f lowers the stop on 144
+    assert skipped >= 150 and brute >= 97 and reached >= 250
+    assert sum(s < t for s, t in zip(stops, table_stops)) >= 140
+
+
+def test_fractional_stop_ends_cycle_like_searches(monkeypatch):
+    # C16 and C20 reach va_f = n / (n - 1) at code 2, K5 plus a 10-edge path
+    # reaches the K5 entry 7/4 of the table, and K_{1,19} plus an edge
+    # between two leaves the triangle's 3/2.  The LPs counted are va_f and
+    # one per family evaluated: C20 walked all 2^19 codes (about 97 s)
+    # before the stop
+    lps = []
+    real = coloring._solve_cover_lp
+    monkeypatch.setattr(coloring, "_solve_cover_lp", lambda n, cols: lps.append(n) or real(n, cols))
+    k5_path = Graph(15, list(K5.edges) + [(4 + i, 5 + i) for i in range(10)])
+    star_edge = Graph(20, [(0, i) for i in range(1, 20)] + [(1, 2)])
+    cases = [(cycle_graph(16), Fraction(16, 15), 3), (cycle_graph(20), Fraction(20, 19), 3),
+             (k5_path, Fraction(7, 4), 8), (star_edge, Fraction(3, 2), 2)]
+    for G, value, count in cases:
+        lps.clear()
+        assert fractional_dichromatic(G) == value
+        assert len(lps) == count
+
+
 def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
     # Petersen is 3-degenerate, so the search ends at the first code with
     # value 2: code 18.  Code 0 is acyclic, its one-part cover {V} stays
@@ -604,8 +685,10 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
     # time and, in exact mode, replays the orbit skip with brute-force
     # automorphisms: the same orientations evaluated, value and witness, with
     # no more is_acyclic calls, in exact and sampled mode, for dichi and
-    # dichif covers, with the same stop and, for dichi, the stop at a cyclic
-    # orientation with no value computed
+    # dichif covers, with the same stop (the fractional one for the LP
+    # covers) and, for dichi, the stop at a cyclic orientation with no value
+    # computed.  The fractional stop ends most dichif searches on the pool
+    # graphs early, so the exhausting dichif graphs are searched too
     calls = []
     real_is_acyclic = coloring.is_acyclic
 
@@ -621,8 +704,8 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
         return cover.objective, [mask for mask, _ in cover.parts]
 
     fewer = 0
-    for seed, G in enumerate(_pool_graphs()):
-        bound = coloring._orientation_stop(G)
+    for seed, G in enumerate(_pool_graphs() + _exhausting_dichif_graphs()):
+        stops = {True: coloring._orientation_stop(G), False: coloring._fractional_stop(G)}
         for trials, digraphs in ((None, _lower_codes(G)), (300, _samples(G, 300, seed))):
             for value, integer in ((coloring._acyclic_cover, True), (lp_cover, False)):
                 evaluated = []
@@ -635,7 +718,7 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
                 best, witness = coloring._best_orientation(G, recorded, trials, seed, 20, integer)
                 cached_calls = len(calls)
                 calls.clear()
-                expected = uncached_pooled_search(digraphs, value, bound, coloring.COVER_POOL,
+                expected = uncached_pooled_search(digraphs, value, stops[integer], coloring.COVER_POOL,
                                                   G if trials is None else None, integer)
                 assert (best, witness, evaluated) == expected
                 assert cached_calls <= len(calls)
@@ -794,11 +877,28 @@ def test_complete_graph_dichromatic_numbers():
     assert all(digraph_chromatic_number(Digraph(K7, code)) <= 2 for code in range(5617))
 
 
+def _exhausting_dichif_graphs():
+    # graphs whose dichif search stops at no bound and whose automorphisms
+    # are collected: K5 less an edge, less two edges at one vertex (5/3,
+    # with a K4 inside, so no induced-forest LP), with a pendant edge, and
+    # less two disjoint edges, the wheel with 4 spokes, K_{2,3}, K_{2,5},
+    # K_{3,4}, C6 with two crossing chords and the octahedron
+    k5 = list(K5.edges)
+    at_vertex = [e for e in k5 if e not in ((0, 1), (0, 2))]
+    return [Graph(5, k5[1:]), Graph(5, at_vertex), Graph(6, at_vertex + [(0, 5)]),
+            Graph(5, [e for e in k5 if e not in ((0, 1), (2, 3))]),
+            Graph(5, [(i, (i + 1) % 4) for i in range(4)] + [(i, 4) for i in range(4)]),
+            _biclique(2, 3), _biclique(2, 5), _biclique(3, 4),
+            Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)]),
+            Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3])]
+
+
 def _orbit_graphs():
     # K5, K_{3,3}, C4 plus a chord, 40 seeded non-forests with at most 11
     # edges, the wheel with 5 spokes, the triangular prism and K_{2,4}, for
-    # a skip-free search over every lower-half code.  The last three are
-    # there for their dichif searches, which reach the lazy start
+    # a skip-free search over every lower-half code.  The last three and
+    # the exhausting dichif graphs are there for their dichif searches; all
+    # but the prism's, which the fractional stop ends, reach the lazy start
     rng = random.Random(83)
     graphs = [K5, _biclique(3, 3), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])]
     while len(graphs) < 43:
@@ -807,7 +907,7 @@ def _orbit_graphs():
             graphs.append(G)
     wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
     prism = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
-    return graphs + [wheel, prism, _biclique(2, 4)]
+    return graphs + [wheel, prism, _biclique(2, 4)] + _exhausting_dichif_graphs()
 
 
 def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
@@ -828,9 +928,9 @@ def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
         codes = _lower_codes(G)
         assert dichromatic_number_exact(G) == _first_maximum(codes, digraph_chromatic_number)
         assert fractional_dichromatic(G) == _first_maximum(codes, lp_value)[0]
-    # 26 of the 92 searches reach the lazy start, 25 with a non-trivial
-    # Aut(G); no dichi search with a stop of 2 calls value twice, so none
-    # of those reaches it
+    # 21 of the 112 searches reach the lazy start with a non-trivial Aut(G),
+    # all of them dichif searches that no stop ends; no dichi search with a
+    # stop of 2 calls value twice, so none of those reaches it
     assert sum(bool(real(G)) for G in started) >= 20
 
 

@@ -5,7 +5,9 @@ import inspect
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicolor.coloring import (
     chromatic_number,
@@ -14,7 +16,12 @@ from dicolor.coloring import (
 )
 from dicolor.constructions import kneser_graph
 from dicolor.errors import BudgetExceededError, InputError
-from dicolor.families import max_acyclic_weight, maximal_acyclic_sets, maximal_independent_sets
+from dicolor.families import (
+    _maximal_induced_forests,
+    max_acyclic_weight,
+    maximal_acyclic_sets,
+    maximal_independent_sets,
+)
 from dicolor.graphs import Digraph, Graph, complete_graph, cycle_graph, random_orientation
 
 from oracles import (
@@ -234,6 +241,47 @@ def test_max_acyclic_weight_cap():
     assert (err.value.needed, err.value.limit) == (2, 1)
 
 
+@st.composite
+def _graphs_with_trees(draw):
+    # a random core, pendant trees hung one vertex at a time, and isolated
+    # vertices, at most 10 vertices in all
+    core = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    n = core
+    for _ in range(draw(st.integers(min_value=0, max_value=10 - core))):
+        if n and draw(st.booleans()):
+            edges.append((draw(st.integers(min_value=0, max_value=n - 1)), n))
+        n += 1
+    return Graph(max(n, 1), edges)
+
+
+def _brute_maximal_induced_forests(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    forests = {S for S in range(1, 1 << G.n)
+               if nx.is_forest(H.subgraph([v for v in range(G.n) if S >> v & 1]))}
+    return {S for S in forests
+            if not any(S | 1 << v in forests for v in range(G.n) if not S >> v & 1)}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_graphs_with_trees())
+def test_maximal_induced_forests_match_bruteforce(G):
+    got = _maximal_induced_forests(G)
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_maximal_induced_forests(G)
+
+
+def test_maximal_induced_forests_examples():
+    # a cycle less one vertex, a clique's edges, and a forest is one set
+    assert sorted(_maximal_induced_forests(cycle_graph(5))) == sorted(31 ^ 1 << v for v in range(5))
+    assert sorted(_maximal_induced_forests(complete_graph(4))) == sorted(
+        1 << u | 1 << v for u in range(4) for v in range(u + 1, 4))
+    assert _maximal_induced_forests(Graph(4, [(0, 1), (1, 2)])) == [15]
+
+
 def test_enumerators_leave_no_reference_cycles():
     # the recursive closures referred to themselves, so every call left a
     # cycle (and chromatic_number its whole memo) for the cyclic collector
@@ -245,6 +293,7 @@ def test_enumerators_leave_no_reference_cycles():
         list(maximal_independent_sets(G))
         next(maximal_independent_sets(G, containing=2))  # left unfinished
         maximal_acyclic_sets(D)
+        _maximal_induced_forests(G)
         max_acyclic_weight(D, [1] * 5)
         chromatic_number(G)
         digraph_chromatic_number(D)
