@@ -599,10 +599,51 @@ def _fractional_stop(G: Graph) -> int | Fraction:
     return stop
 
 
+def _fractional_floor(G: Graph, stop: int | Fraction) -> int | Fraction:
+    """A lower bound on chi_f(D) for some orientation D of a non-forest G,
+    chosen to meet ``stop``: when stop < 3/2, g / (g - 1) for the length g
+    of a shortest cycle of G, found by a breadth-first search over the
+    adjacency masks from every vertex; otherwise dichif(K_m) when G holds
+    a clique on m vertices, m <= 6 the smallest with dichif(K_m) >= stop;
+    1 when that clique is missing or no such m exists.  The proofs are in
+    :func:`_best_orientation`.
+    """
+    adj = G.adj
+    if stop >= Fraction(3, 2):
+        for m in range(3, len(_COMPLETE_DICHIF)):
+            if _COMPLETE_DICHIF[m] >= stop:
+                return _COMPLETE_DICHIF[m] if _has_clique(adj, G.full_mask, m) else 1
+        return 1
+    # the breadth-first layers from a root close a cycle of at most 2 d + 1
+    # edges when two vertices of layer d are adjacent, and of at most
+    # 2 d + 2 when two of them share a neighbour in no earlier layer: the
+    # tree paths back to where they meet, with those edges.  From a vertex
+    # of a shortest cycle the first closure has its length
+    girth = G.n + 1
+    for root in range(G.n):
+        seen = layer = 1 << root
+        length = 1  # 2 d + 1
+        while layer and length < girth:
+            if any(adj[v] & layer for v in iter_bits(layer)):
+                girth = length
+                break
+            reach = 0
+            for v in iter_bits(layer):
+                new = adj[v] & ~seen
+                if new & reach:
+                    girth = min(girth, length + 1)
+                reach |= new
+            seen |= reach
+            layer = reach
+            length += 2
+    return Fraction(girth, girth - 1)
+
+
 def _best_orientation(
     G: Graph, value, trials: int | None, seed: int, edge_budget: int, integer: bool = False
 ) -> tuple:
-    """Largest value over orientations D of G, with the first D reaching it.
+    """Largest value over orientations D of G, with the first D reaching it,
+    or None when an exact fractional search answers from its lower bound.
 
     ``value(D)`` returns the value of D and an optimal cover attaining it,
     as a list of vertex sets that are acyclic in D.  With ``trials`` None
@@ -667,6 +708,26 @@ def _best_orientation(
     so a cover by induced forests weighs at least |Q| / 2.  With s the
     smaller of the first two bounds, a clique on ceil(2 s) vertices gives
     va_f(G) >= s, so the LP is skipped when G holds one.
+
+    An exact fractional search (``trials`` None) then compares the stop
+    with :func:`_fractional_floor`, a lower bound on the largest chi_f(D),
+    and when that bound meets the stop it returns the stop with None for
+    the witness: no orientation, family or LP is evaluated.  The bound is
+    chi_f(D[Q]) for a set Q and an orientation of G[Q] extended to some D,
+    and chi_f(D) >= chi_f(D[Q]), since restricting a fractional cover of
+    D to Q gives one of D[Q] (a subset of an acyclic set is acyclic).  For
+    a clique Q on m <= 6 vertices, oriented as a tournament attaining the
+    table entry, chi_f(D[Q]) = dichif(K_m).  A shortest cycle C of G, of
+    length g, has no chord, since a chord would close a shorter cycle, so
+    orienting C as a directed cycle makes D[V(C)] the directed g-cycle.
+    Its acyclic sets are the proper subsets of V(C): the g sets missing one
+    vertex each, weighted 1 / (g - 1), cover every vertex, and the weight
+    1 / (g - 1) on each vertex puts at most 1 on every acyclic set, so both
+    LP sides give chi_f = g / (g - 1).  A lower bound of at least the stop
+    is the stop itself, and the answer.  Sampled searches never take this
+    path: their answer is the best sampled value, which may lie below it.
+    The shortest cycle is only looked for when the stop is below 3/2,
+    since g / (g - 1) <= 3/2, with equality only for a triangle, a clique.
 
     With integer values (``integer``, the ``dichi`` searches) and a stop
     of 2, an orientation is returned as the witness with value 2 without
@@ -770,6 +831,9 @@ def _best_orientation(
     # the best; samples come in no code order, so they are never skipped
     collect = trials is None
     bound = _orientation_stop(G) if integer else _fractional_stop(G)
+    if not integer and trials is None and _fractional_floor(G, bound) >= bound:
+        # some orientation has value at least the stop, which none exceeds
+        return bound, None
     # while the best is 1 an orientation the pool does not skip has value 2
     # when the values are integers and the stop is 2
     cycle_stop = integer and bound == 2
@@ -941,11 +1005,18 @@ def fractional_dichromatic(
     one, so each distinct family is solved once; the positive-weight sets of
     its optimal cover are what the search pools.  The search stops at
     :func:`_fractional_stop`, an upper bound over every orientation.
+    Without ``trials`` the stop is the answer, and no orientation is
+    evaluated, when :func:`_fractional_floor` meets it: a clique whose
+    dichif(K_m) table entry reaches the stop, or, below 3/2, a shortest
+    cycle of length g with g / (g - 1) at least the stop.  Only an
+    evaluated orientation needs an LP, so the 20-vertex LP gate then
+    refuses nothing: a triangle plus 18 isolated vertices gives 3/2.
     """
     covers: dict[tuple[int, ...], tuple[Fraction, list[int]]] = {}
 
     def value(D: Digraph) -> tuple[Fraction, list[int]]:
-        # forests never get here, so the LP gate does not refuse them
+        # forests and searches that the lower bound ends never get here, so
+        # the LP gate refuses neither
         if G.n > LP_VERTEX_BUDGET:
             raise BudgetExceededError("digraph fractional LP", G.n, LP_VERTEX_BUDGET)
         columns = tuple(sorted(maximal_acyclic_sets(D)))

@@ -497,6 +497,11 @@ def _without_stops(monkeypatch):
     monkeypatch.setattr(coloring, "_fractional_stop", lambda G: G.n + 1)
 
 
+def _without_fractional_floor(monkeypatch):
+    # a lower bound below every stop: exact dichif searches walk the codes
+    monkeypatch.setattr(coloring, "_fractional_floor", lambda G, stop: 0)
+
+
 def test_complete_graph_tables_are_what_the_search_computes(monkeypatch):
     # dichi(K_m) and dichif(K_m) for m <= 6, recomputed with the stops off,
     # since a stop read from a wrong table would return that table's value
@@ -553,19 +558,73 @@ def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkey
     assert sum(s < t for s, t in zip(stops, table_stops)) >= 140
 
 
+def test_fractional_floor_is_never_above_the_fractional_dichromatic_number(monkeypatch):
+    # the lower bound, tested against each graph's own stop, against the
+    # stop-free search: it meets the stop on 242 of the 300 stop graphs and
+    # on none of the exhausting dichif graphs, whose searches no stop ends
+    graphs = _stop_graphs()
+    exhausting = _exhausting_dichif_graphs()
+    floors = [(G, coloring._fractional_floor(G, stop), stop)
+              for G, stop in ((G, coloring._fractional_stop(G)) for G in graphs + exhausting)]
+    _without_stops(monkeypatch)
+    met = []
+    for G, floor, stop in floors:
+        assert floor <= fractional_dichromatic(G) <= stop
+        met.append(floor >= stop)
+    assert sum(met[: len(graphs)]) >= 240
+    assert not any(met[len(graphs):])
+
+
+def test_fractional_floor_finds_the_shortest_cycle():
+    # below a stop of 3/2 the bound is g / (g - 1) for the girth g, which
+    # networkx computes on seeded non-forests, cycles and a cycle with chords
+    rng = random.Random(29)
+    graphs = [cycle_graph(n) for n in (3, 4, 9, 20)]
+    graphs.append(Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)]))
+    while len(graphs) < 100:
+        G = _random_graph(rng, n_max=12, p=rng.choice((0.15, 0.25, 0.5)))
+        if not is_forest(G):
+            graphs.append(G)
+    for G in graphs:
+        g = nx.girth(nx.Graph(list(G.edges)))
+        assert coloring._fractional_floor(G, Fraction(1)) == Fraction(g, g - 1)
+
+
+def test_sampled_dichif_is_not_ended_by_the_lower_bound():
+    # the sampled answer is the best sampled value, which may lie below the
+    # exact 7/4 of K5 where the lower bound meets the stop
+    families = {}
+
+    def lp_value(D):
+        key = tuple(sorted(maximal_acyclic_sets(D)))
+        if key not in families:
+            families[key] = digraph_fractional_chromatic(D)
+        return families[key]
+
+    got = {}
+    for trials in (1, 16):
+        for seed in range(4):
+            got[trials, seed] = fractional_dichromatic(K5, trials=trials, seed=seed)
+            assert got[trials, seed] == _first_maximum(_samples(K5, trials, seed), lp_value)[0]
+    assert [got[1, s] for s in range(4)] == [Fraction(3, 2)] * 4
+    assert [got[16, s] for s in range(4)] == [Fraction(7, 4)] + [Fraction(5, 3)] * 3
+
+
 def test_fractional_stop_ends_cycle_like_searches(monkeypatch):
-    # C16 and C20 reach va_f = n / (n - 1) at code 2, K5 plus a 10-edge path
-    # reaches the K5 entry 7/4 of the table, and K_{1,19} plus an edge
-    # between two leaves the triangle's 3/2.  The LPs counted are va_f and
-    # one per family evaluated: C20 walked all 2^19 codes (about 97 s)
-    # before the stop
+    # C16 and C20 stop at va_f = n / (n - 1), K5 plus a 10-edge path at the
+    # K5 entry 7/4 of the table, and K_{1,19} plus an edge between two
+    # leaves at the triangle's 3/2.  The LPs counted are va_f and one per
+    # family evaluated: C20 walked all 2^19 codes (about 97 s) before the
+    # stop, and then 2 more LPs to reach it at code 2.  The shortest cycle
+    # and the clique of the lower bound meet each stop, so no orientation
+    # is evaluated, and only the cycles solve va_f
     lps = []
     real = coloring._solve_cover_lp
     monkeypatch.setattr(coloring, "_solve_cover_lp", lambda n, cols: lps.append(n) or real(n, cols))
     k5_path = Graph(15, list(K5.edges) + [(4 + i, 5 + i) for i in range(10)])
     star_edge = Graph(20, [(0, i) for i in range(1, 20)] + [(1, 2)])
-    cases = [(cycle_graph(16), Fraction(16, 15), 3), (cycle_graph(20), Fraction(20, 19), 3),
-             (k5_path, Fraction(7, 4), 8), (star_edge, Fraction(3, 2), 2)]
+    cases = [(cycle_graph(16), Fraction(16, 15), 1), (cycle_graph(20), Fraction(20, 19), 1),
+             (k5_path, Fraction(7, 4), 0), (star_edge, Fraction(3, 2), 0)]
     for G, value, count in cases:
         lps.clear()
         assert fractional_dichromatic(G) == value
@@ -600,10 +659,10 @@ def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
 
 
 def _pool_graphs():
-    # seeded non-forests with n <= 7 and 9 <= m <= 12.  Every other one
-    # contains K5: degeneracy 4 gives the bound 3, which no orientation with
-    # at most 12 edges reaches, so the whole search runs and covers of two
-    # parts are pooled and checked
+    # seeded non-forests with n <= 7 and 9 <= m <= 12, where every other
+    # one contains K5 and so has at least its 10 edges.  Degeneracy 4 gives
+    # the bound 3, which no orientation with at most 12 edges reaches, so
+    # the whole search runs and covers of two parts are pooled and checked
     rng = random.Random(71)
     graphs = []
     while len(graphs) < 8:
@@ -612,7 +671,7 @@ def _pool_graphs():
         m = rng.randint(9, min(12, len(pairs)))
         core = list(combinations(sorted(rng.sample(range(n), 5)), 2)) if len(graphs) % 2 else []
         rest = [e for e in rng.sample(pairs, len(pairs)) if e not in core]
-        graphs.append(Graph(n, core + rest[: m - len(core)]))
+        graphs.append(Graph(n, core + rest[: max(m, len(core)) - len(core)]))
     return graphs
 
 
@@ -665,6 +724,9 @@ def test_pooled_sampled_search_matches_pool_free_loop(monkeypatch):
         return families[key]
 
     monkeypatch.setattr(coloring, "_best_orientation", recorded)
+    # the lower bound would end exact dichif searches with no witness and
+    # no pool
+    _without_fractional_floor(monkeypatch)
     for seed, G in enumerate(_pool_graphs()):
         runs = [(trials, _samples(G, trials, seed)) for trials in (1, 5, 37, 300)]
         if len(G.edges) <= 12:
@@ -688,7 +750,9 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
     # dichif covers, with the same stop (the fractional one for the LP
     # covers) and, for dichi, the stop at a cyclic orientation with no value
     # computed.  The fractional stop ends most dichif searches on the pool
-    # graphs early, so the exhausting dichif graphs are searched too
+    # graphs early, so the exhausting dichif graphs are searched too, and the
+    # lower bound that would end exact dichif searches before the pool is off
+    _without_fractional_floor(monkeypatch)
     calls = []
     real_is_acyclic = coloring.is_acyclic
 
@@ -1127,10 +1191,15 @@ def test_fractional_dichromatic_examples():
     assert fractional_dichromatic(cycle_graph(4)) == Fraction(4, 3)
     sampled = fractional_dichromatic(complete_graph(3), trials=16, seed=4)
     assert sampled <= Fraction(3, 2)
-    # the 20-vertex LP gate refuses only searches that need an LP
+    # the 20-vertex LP gate refuses only searches that need an LP: the
+    # triangle meets the stop 3/2 of its block, so no orientation is
+    # evaluated, while C4's 4/3 lies below the stop of 3/2 and the search
+    # needs an LP for its first orientation
     assert fractional_dichromatic(path_graph(30)) == 1
-    with pytest.raises(BudgetExceededError):
-        fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (0, 2)]))
+    assert fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (0, 2)])) == Fraction(3, 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    assert str(exc.value) == "digraph fractional LP: needs 21, budget is 20"
 
 
 def test_fractional_dichromatic_dominates_each_orientation():
