@@ -564,8 +564,10 @@ def test_fractional_floor_is_never_above_the_fractional_dichromatic_number(monke
     # on none of the exhausting dichif graphs, whose searches no stop ends
     graphs = _stop_graphs()
     exhausting = _exhausting_dichif_graphs()
-    floors = [(G, coloring._fractional_floor(G, stop), stop)
-              for G, stop in ((G, coloring._fractional_stop(G)) for G in graphs + exhausting)]
+    floors = []
+    for G in graphs + exhausting:
+        stop = coloring._fractional_stop(G)
+        floors.append((G, coloring._fractional_floor(G, stop), stop))
     _without_stops(monkeypatch)
     met = []
     for G, floor, stop in floors:
@@ -593,19 +595,12 @@ def test_fractional_floor_finds_the_shortest_cycle():
 def test_sampled_dichif_is_not_ended_by_the_lower_bound():
     # the sampled answer is the best sampled value, which may lie below the
     # exact 7/4 of K5 where the lower bound meets the stop
-    families = {}
-
-    def lp_value(D):
-        key = tuple(sorted(maximal_acyclic_sets(D)))
-        if key not in families:
-            families[key] = digraph_fractional_chromatic(D)
-        return families[key]
-
     got = {}
     for trials in (1, 16):
         for seed in range(4):
             got[trials, seed] = fractional_dichromatic(K5, trials=trials, seed=seed)
-            assert got[trials, seed] == _first_maximum(_samples(K5, trials, seed), lp_value)[0]
+            samples = _samples(K5, trials, seed)
+            assert got[trials, seed] == _first_maximum(samples, digraph_fractional_chromatic)[0]
     assert [got[1, s] for s in range(4)] == [Fraction(3, 2)] * 4
     assert [got[16, s] for s in range(4)] == [Fraction(7, 4)] + [Fraction(5, 3)] * 3
 
@@ -614,10 +609,9 @@ def test_fractional_stop_ends_cycle_like_searches(monkeypatch):
     # C16 and C20 stop at va_f = n / (n - 1), K5 plus a 10-edge path at the
     # K5 entry 7/4 of the table, and K_{1,19} plus an edge between two
     # leaves at the triangle's 3/2.  The LPs counted are va_f and one per
-    # family evaluated: C20 walked all 2^19 codes (about 97 s) before the
-    # stop, and then 2 more LPs to reach it at code 2.  The shortest cycle
-    # and the clique of the lower bound meet each stop, so no orientation
-    # is evaluated, and only the cycles solve va_f
+    # family evaluated.  The shortest cycle and the clique of the lower
+    # bound meet each stop, so no orientation is evaluated, and only the
+    # cycles solve va_f
     lps = []
     real = coloring._solve_cover_lp
     monkeypatch.setattr(coloring, "_solve_cover_lp", lambda n, cols: lps.append(n) or real(n, cols))
@@ -660,9 +654,10 @@ def test_petersen_search_stops_at_the_degeneracy_bound(monkeypatch):
 
 def _pool_graphs():
     # seeded non-forests with n <= 7 and 9 <= m <= 12, where every other
-    # one contains K5 and so has at least its 10 edges.  Degeneracy 4 gives
-    # the bound 3, which no orientation with at most 12 edges reaches, so
-    # the whole search runs and covers of two parts are pooled and checked
+    # one contains K5 and so has at least its 10 edges.  There degeneracy 4
+    # gives the bound 3, which no orientation with at most 12 edges
+    # reaches, so only the block stop (2, and 7/4 for dichif) ends the
+    # search
     rng = random.Random(71)
     graphs = []
     while len(graphs) < 8:
