@@ -647,9 +647,10 @@ def _best_orientation(
 
     ``value(D)`` returns the value of D and an optimal cover attaining it,
     as a list of vertex sets that are acyclic in D.  With ``trials`` None
-    the orientations are enumerated as binary counters, gated by
-    ``edge_budget``; only the codes below 2^(e-1) are visited, since
-    reversing every arc keeps the value.  Otherwise the orientations are
+    the orientations are enumerated as binary counters; only the codes
+    below 2^(e-1) are visited, since reversing every arc keeps the value,
+    and more than 2^``edge_budget`` of them are refused before the first.
+    Otherwise the orientations are
     the seeded samples ``derive_rng(seed, i)`` for ``i < trials``, gated
     before the first by 2^``ORIENT_EDGE_BUDGET`` samples.  The empty graph
     gives 0, and every orientation of a forest is acyclic, so forests
@@ -815,9 +816,13 @@ def _best_orientation(
         return 1, Digraph(G, 0)
     if trials is None:
         m = len(G.edges)
-        if m > edge_budget:
+        # the walk visits the 2^(e-1) codes below the top bit, the count the
+        # exhaustive --mode mc gate of dichromatic_lower_bound_mc also takes
+        if m - 1 > edge_budget:
             raise BudgetExceededError(
-                "orientation enumeration (or sample: --mode mc / trials=N)", 2**m, 2**edge_budget
+                "orientation enumeration (or sample: --mode mc / trials=N)",
+                2 ** (m - 1),
+                2**edge_budget,
             )
         # D and its reverse have the same acyclic sets, so the same value,
         # and of the codes c and c ^ (2^e - 1) the one below 2^(e-1) comes
@@ -887,8 +892,9 @@ def dichromatic_number_exact(G: Graph, edge_budget: int = ORIENT_EDGE_BUDGET) ->
 
     Orientations are enumerated as binary counters (the codes below
     2^(e-1) suffice, by reversal symmetry, and codes an automorphism of G
-    maps lower are skipped); raise the budget or fall back
-    to :func:`dichromatic_lower_bound_mc` beyond ``edge_budget`` edges.
+    maps lower are skipped); raise the budget or fall back to
+    :func:`dichromatic_lower_bound_mc` beyond ``edge_budget`` + 1 edges,
+    that is, past 2^``edge_budget`` codes.
     """
     return _best_orientation(G, _acyclic_cover, None, 0, edge_budget, integer=True)
 

@@ -7,6 +7,16 @@ not pairwise-defined, so they use an include/exclude expansion tree with a
 maximality check at the leaves, and so do the induced forests of a graph.
 The heaviest acyclic set is found by a branch and bound search over the
 same include/exclude tree.
+
+A node of the tree keeps the vertices that each extend its set A.  When
+the include step adds u, the ones that no longer extend A + u are found by
+one closure from u instead of one test per vertex: for a digraph, the
+vertices with an arc from a descendant and an arc into an ancestor of u in
+A + u (:func:`_cycle_closers`); for a graph, the vertices with two
+neighbours in the component of u (:func:`_cycle_joiners`).  Both tests are
+exact, so the tree, its sets and their order are those of a test per
+vertex.  The exclude branch keeps its single test of u against A plus the
+remaining candidates (:func:`_extends`, :func:`_joins_forest`).
 """
 
 from __future__ import annotations
@@ -97,6 +107,45 @@ def _extends(in_masks: Sequence[int], adj: Sequence[int], T: int, v: int) -> boo
     return not reach & outs
 
 
+def _cycle_closers(in_masks: Sequence[int], out_masks: Sequence[int], T: int, u: int) -> int:
+    """The vertices with an arc from a descendant of u and an arc into an
+    ancestor of u, both taken in D[T + u], u included.
+
+    Let T + u be acyclic and let v, outside T + u, extend T.  Then T + u + v
+    is acyclic exactly when v is not returned.  A directed cycle of
+    T + u + v passes through v, since T + u is acyclic, and through u, since
+    T + v is.  So it is v -> a -> ... -> u -> ... -> d -> v with the middle
+    part inside T + u: v has an arc into the ancestor a of u and an arc
+    from the descendant d of u.  Conversely, for such a and d the paths
+    a -> ... -> u and u -> ... -> d of D[T + u] meet only at u, since a
+    second common vertex would close a cycle in T + u, so with the arcs
+    d -> v and v -> a they form a directed cycle of T + u + v.
+    """
+    into = in_masks[u]
+    reach = frontier = into & T
+    while frontier:
+        preds = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            preds |= in_masks[low.bit_length() - 1]
+        into |= preds
+        frontier = preds & T & ~reach
+        reach |= frontier
+    from_ = out_masks[u]
+    reach = frontier = from_ & T
+    while frontier:
+        succs = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            succs |= out_masks[low.bit_length() - 1]
+        from_ |= succs
+        frontier = succs & T & ~reach
+        reach |= frontier
+    return into & from_
+
+
 def maximal_acyclic_sets(
     D: Digraph,
     within: int | None = None,
@@ -114,32 +163,25 @@ def maximal_acyclic_sets(
     out: list[int] = []
     in_masks = D.in_masks
     adj = D.graph.adj
+    out_masks = [adj[v] & ~in_masks[v] for v in range(D.graph.n)]
 
     def rec(A: int, cand: int, excl: int) -> None:
-        # invariants: A is acyclic and every vertex of cand individually
-        # extends A; excl may hold stale non-extenders (staleness is
-        # monotone, so a final check at the leaf suffices)
+        # invariants: A is acyclic, and cand and excl split the vertices of
+        # S outside A that each extend A, so a leaf A is maximal exactly
+        # when excl is empty
         if not cand:
-            if not any(_extends(in_masks, adj, A, v) for v in iter_bits(excl)):
+            if not excl:
                 if len(out) >= cap:
                     raise BudgetExceededError("maximal acyclic sets", len(out) + 1, cap)
                 out.append(A)
             return
         low = cand & -cand
         u = low.bit_length() - 1
-        with_u = A | low
-        new_cand = 0
-        for v in iter_bits(cand ^ low):
-            if _extends(in_masks, adj, with_u, v):
-                new_cand |= 1 << v
-        new_excl = 0
-        for v in iter_bits(excl):
-            if _extends(in_masks, adj, with_u, v):
-                new_excl |= 1 << v
-        rec(with_u, new_cand, new_excl)
+        rest = cand ^ low
+        closers = _cycle_closers(in_masks, out_masks, A, u)
+        rec(A | low, rest & ~closers, excl & ~closers)
         # a u that closes no cycle with A and every remaining candidate
         # extends every leaf of the exclude branch, so no leaf there is maximal
-        rest = cand ^ low
         if not _extends(in_masks, adj, A | rest, u):
             rec(A, rest, excl | low)
 
@@ -180,12 +222,40 @@ def _joins_forest(adj: Sequence[int], F: int, v: int) -> bool:
     return True
 
 
+def _cycle_joiners(adj: Sequence[int], F: int, u: int) -> int:
+    """The vertices with two neighbours in C, the component of u in G[F + u].
+
+    Let G[F + u] be a forest and let v, outside F + u, join F.  Then
+    G[F + u + v] is a forest exactly when v is not returned.  A cycle of
+    G[F + u + v] passes through v, since G[F + u] is a forest, and through
+    u, since G[F + v] is.  Less v it is a path through u inside F + u, so
+    both its ends, neighbours of v, lie in C.  Conversely two neighbours of
+    v in C are joined by a path of C, which v closes to a cycle.
+    """
+    once = adj[u]
+    twice = 0
+    comp = frontier = once & F
+    while frontier:
+        nbrs = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nb = adj[low.bit_length() - 1]
+            twice |= once & nb
+            once |= nb
+            nbrs |= nb
+        frontier = nbrs & F & ~comp
+        comp |= frontier
+    return twice
+
+
 def _maximal_induced_forests(G: Graph) -> list[int]:
     """All maximal vertex sets of G that induce a forest, as bit masks.
 
     Induced forests are hereditary, so this is the include/exclude tree of
-    :func:`maximal_acyclic_sets` with :func:`_joins_forest` as the
-    extension test.  A set inducing a forest is acyclic in every
+    :func:`maximal_acyclic_sets` with :func:`_cycle_joiners` as the
+    include step's filter and :func:`_joins_forest` as the exclude
+    branch's test.  A set inducing a forest is acyclic in every
     orientation of G.  Their complements are the minimal feedback vertex
     sets, of which a graph on n vertices has at most 1.8638^n (Fomin,
     Gaspers, Pyatkin and Razgon, Algorithmica 52, 2008), under 2^18 at the
@@ -197,22 +267,14 @@ def _maximal_induced_forests(G: Graph) -> list[int]:
     def rec(F: int, cand: int, excl: int) -> None:
         # the invariants of maximal_acyclic_sets' rec, with forests
         if not cand:
-            if not any(_joins_forest(adj, F, v) for v in iter_bits(excl)):
+            if not excl:
                 out.append(F)
             return
         low = cand & -cand
         u = low.bit_length() - 1
-        with_u = F | low
-        new_cand = 0
-        for v in iter_bits(cand ^ low):
-            if _joins_forest(adj, with_u, v):
-                new_cand |= 1 << v
-        new_excl = 0
-        for v in iter_bits(excl):
-            if _joins_forest(adj, with_u, v):
-                new_excl |= 1 << v
-        rec(with_u, new_cand, new_excl)
         rest = cand ^ low
+        joiners = _cycle_joiners(adj, F, u)
+        rec(F | low, rest & ~joiners, excl & ~joiners)
         if not _joins_forest(adj, F | rest, u):
             rec(F, rest, excl | low)
 
@@ -258,7 +320,7 @@ def max_acyclic_weight(D: Digraph, weights: Sequence[Fraction], cap: int = COLUM
         return sum(bit[u] for u in iter_bits(mask))
 
     in_masks = [relabel(D.in_masks[v]) for v in order]
-    adj = [relabel(D.graph.adj[v]) for v in order]
+    out_masks = [relabel(D.graph.adj[v] & ~D.in_masks[v]) for v in order]
     w = [scaled[v] for v in order]
     best = 0
     nodes = 0
@@ -276,12 +338,9 @@ def max_acyclic_weight(D: Digraph, weights: Sequence[Fraction], cap: int = COLUM
             raise BudgetExceededError("acyclic-set weight search (nodes)", nodes, cap)
         low = cand & -cand
         u = low.bit_length() - 1
-        with_u = A | low
-        kept = w_kept = 0
-        for v in iter_bits(cand ^ low):
-            if _extends(in_masks, adj, with_u, v):
-                kept |= 1 << v
-                w_kept += w[v]
-        stack.append((A, w_A, cand ^ low, w_cand - w[u]))
-        stack.append((with_u, w_A + w[u], kept, w_kept))
+        rest = cand ^ low
+        dropped = rest & _cycle_closers(in_masks, out_masks, A, u)
+        w_kept = w_cand - w[u] - sum(w[v] for v in iter_bits(dropped))
+        stack.append((A, w_A, rest, w_cand - w[u]))
+        stack.append((A | low, w_A + w[u], rest ^ dropped, w_kept))
     return Fraction(best, L)

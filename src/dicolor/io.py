@@ -54,7 +54,12 @@ def _check_vertex_count(n: int) -> None:
 def parse_graph_text(text: str) -> GraphFileData:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _parse_json(text)
+        try:
+            return _parse_json(text)
+        except RecursionError:
+            # nesting past the recursion limit, met by json.loads or by the
+            # repr of a nested value in an error message
+            raise GraphFormatError("invalid JSON: arrays or objects nested too deeply")
     return _parse_edge_list(text)
 
 
@@ -75,6 +80,10 @@ def _parse_json(text: str) -> GraphFileData:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except ValueError:
+        # json.loads raises a bare ValueError for an integer literal past
+        # Python's limit on the digits of an int (4,300 by default)
+        raise GraphFormatError("invalid JSON: an integer has too many digits")
     if not isinstance(obj, dict):
         raise GraphFormatError("top-level JSON value must be an object")
     if "n" not in obj or "edges" not in obj:

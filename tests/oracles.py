@@ -23,18 +23,23 @@ and finds the orbit skip's automorphisms by trying every vertex permutation,
 whose pool and orbit decisions the library's search must keep.  ``orbit_minimal_codes`` tests
 every code against every given automorphism, the code-by-code skip whose
 codes the pruned depth-first search must yield.
+``per_candidate_maximal_acyclic_sets``,
+``per_candidate_maximal_induced_forests`` and
+``per_candidate_max_acyclic_weight`` are the include/exclude searches with
+one extension test per candidate at each include step, whose sets, order,
+values and cap refusals the reachability closures must keep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, lcm
 from typing import Iterator
 
 from dicolor.errors import BudgetExceededError, DicolorError, InputError
-from dicolor.families import maximal_independent_sets
-from dicolor.graphs import Graph, is_acyclic, iter_bits, mask_of
+from dicolor.families import COLUMN_CAP, _extends, _joins_forest, maximal_independent_sets
+from dicolor.graphs import Digraph, Graph, is_acyclic, iter_bits, mask_of
 from dicolor.simplex import UnboundedError
 
 
@@ -646,3 +651,108 @@ def uncached_pooled_search(digraphs, value, bound: int, pool_size: int, G: Graph
             elif G is not None and autos is None:
                 autos = brute_automorphisms(G)
     return best, witness, evaluated
+
+
+def per_candidate_maximal_acyclic_sets(
+    D: Digraph, within: int | None = None, containing: int | None = None, cap: int = COLUMN_CAP
+) -> list[int]:
+    """The include/exclude tree of ``maximal_acyclic_sets`` with one
+    ``_extends`` test per remaining candidate and per excluded vertex at an
+    include step, and every excluded vertex re-tested at a leaf: the sets,
+    order and cap refusal the reachability closure must keep."""
+    S = D.graph.full_mask if within is None else within
+    if S == 0:
+        return [0]
+    out: list[int] = []
+    in_masks = D.in_masks
+    adj = D.graph.adj
+
+    def rec(A: int, cand: int, excl: int) -> None:
+        if not cand:
+            if not any(_extends(in_masks, adj, A, v) for v in iter_bits(excl)):
+                if len(out) >= cap:
+                    raise BudgetExceededError("maximal acyclic sets", len(out) + 1, cap)
+                out.append(A)
+            return
+        low = cand & -cand
+        u = low.bit_length() - 1
+        with_u = A | low
+        new_cand = sum(1 << v for v in iter_bits(cand ^ low) if _extends(in_masks, adj, with_u, v))
+        new_excl = sum(1 << v for v in iter_bits(excl) if _extends(in_masks, adj, with_u, v))
+        rec(with_u, new_cand, new_excl)
+        rest = cand ^ low
+        if not _extends(in_masks, adj, A | rest, u):
+            rec(A, rest, excl | low)
+
+    if containing is None:
+        rec(0, S, 0)
+    else:
+        anchor = 1 << containing
+        if not S & anchor:
+            raise InputError(f"anchor vertex {containing} is outside the ground set")
+        rec(anchor, S ^ anchor, 0)
+    return out
+
+
+def per_candidate_maximal_induced_forests(G: Graph) -> list[int]:
+    """``_maximal_induced_forests`` with one ``_joins_forest`` test per
+    remaining candidate and per excluded vertex at an include step: the
+    sets and order the component test must keep."""
+    adj = G.adj
+    out: list[int] = []
+
+    def rec(F: int, cand: int, excl: int) -> None:
+        if not cand:
+            if not any(_joins_forest(adj, F, v) for v in iter_bits(excl)):
+                out.append(F)
+            return
+        low = cand & -cand
+        u = low.bit_length() - 1
+        with_u = F | low
+        new_cand = sum(1 << v for v in iter_bits(cand ^ low) if _joins_forest(adj, with_u, v))
+        new_excl = sum(1 << v for v in iter_bits(excl) if _joins_forest(adj, with_u, v))
+        rec(with_u, new_cand, new_excl)
+        rest = cand ^ low
+        if not _joins_forest(adj, F | rest, u):
+            rec(F, rest, excl | low)
+
+    rec(0, G.full_mask, 0)
+    return out
+
+
+def per_candidate_max_acyclic_weight(
+    D: Digraph, weights: list[Fraction], cap: int = COLUMN_CAP
+) -> Fraction:
+    """The branch and bound of ``max_acyclic_weight`` with one ``_extends``
+    test per remaining candidate at an include step: the value and the node
+    count at which the cap refuses that the reachability closure must keep."""
+    n = D.graph.n
+    weights = [Fraction(x) for x in weights]
+    L = lcm(*(x.denominator for x in weights))
+    scaled = [x.numerator * (L // x.denominator) for x in weights]
+    order = sorted((v for v in range(n) if scaled[v]), key=lambda v: (-scaled[v], v))
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    in_masks = [sum(bit[u] for u in iter_bits(D.in_masks[v])) for v in order]
+    adj = [sum(bit[u] for u in iter_bits(D.graph.adj[v])) for v in order]
+    w = [scaled[v] for v in order]
+    best = nodes = 0
+    stack = [(0, 0, (1 << len(order)) - 1, sum(w))]
+    while stack:
+        A, w_A, cand, w_cand = stack.pop()
+        if w_A + w_cand <= best:
+            continue
+        if not cand:
+            best = w_A
+            continue
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceededError("acyclic-set weight search (nodes)", nodes, cap)
+        low = cand & -cand
+        u = low.bit_length() - 1
+        with_u = A | low
+        kept = [v for v in iter_bits(cand ^ low) if _extends(in_masks, adj, with_u, v)]
+        stack.append((A, w_A, cand ^ low, w_cand - w[u]))
+        stack.append((with_u, w_A + w[u], sum(1 << v for v in kept), sum(w[v] for v in kept)))
+    return Fraction(best, L)

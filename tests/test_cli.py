@@ -1,5 +1,7 @@
 """CLI: parsing, exit codes, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dicolor
 from dicolor.cli import _parser, _ser, main
@@ -298,6 +301,87 @@ def test_json_fields_of_the_wrong_type_are_format_errors(tmp_path, body):
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1
     assert json.loads(done.stderr)["error"]["kind"] == "invalid-input"
+
+
+DEEP = "[" * 200000 + "]" * 200000
+HUGE_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("body", [
+    '{"n": 2, "edges": %s}' % DEEP,
+    '{"n": 2, "edges": [], "labels": %s}' % DEEP,
+    '{"n": %s, "edges": []}' % HUGE_INT,
+    '{"n": 2, "edges": [[0, %s]]}' % HUGE_INT,
+], ids=["deep-edges", "deep-labels", "long-n", "long-endpoint"])
+def test_deep_or_long_json_values_are_format_errors(tmp_path, body):
+    # json.loads raised RecursionError past the recursion limit, and a bare
+    # ValueError for an integer past Python's 4,300-digit limit; cli.main
+    # caught neither, so both ended in a traceback with exit 1
+    done = run_cli_process("compute", "chi", write(tmp_path, "g.json", body))
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    error = json.loads(done.stderr)["error"]
+    assert error["kind"] == "invalid-input" and error["message"].startswith("invalid JSON")
+
+
+# JSON values as text, so that integers past Python's digit limit, NaN and
+# infinities can be written: small, huge, negative, boolean and float
+# numbers, strings, null, and empty or deeply nested arrays and objects
+_JSON_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-2**80, 2**80).map(str),
+    st.sampled_from([HUGE_INT, "-" + HUGE_INT, "true", "false", "null", "2.0", "2.5", "-0.0",
+                     "1e400", "-1e400", "NaN", "Infinity", '"3"', '"1/2"', "{}", "[]", '{"n": 1}']),
+    st.integers(1, 3000).map(lambda d: "[" * d + "]" * d),
+    st.just(DEEP),
+)
+_PAIRS = st.one_of(
+    st.tuples(_JSON_TOKENS, _JSON_TOKENS).map(lambda uv: "[%s, %s]" % uv),
+    st.integers(0, 6).map(lambda v: "[%d, %d]" % (v, v + 1)),
+    _JSON_TOKENS,
+)
+_JSON_LISTS = st.one_of(st.lists(_PAIRS, max_size=5).map(lambda xs: "[" + ", ".join(xs) + "]"),
+                        _JSON_TOKENS)
+
+
+@st.composite
+def _graph_file_bodies(draw):
+    if draw(st.booleans()):
+        fields = {"n": draw(st.one_of(st.integers(0, 8).map(str), _JSON_TOKENS)),
+                  "edges": draw(_JSON_LISTS)}
+        for key in ("weights", "labels"):
+            if draw(st.booleans()):
+                fields[key] = draw(_JSON_LISTS)
+        for key in draw(st.sets(st.sampled_from(["n", "edges"]), max_size=1)):
+            del fields[key]
+        return "{" + ", ".join('"%s": %s' % kv for kv in fields.items()) + "}"
+    # edge list: a header "n m", then pairs, with any token in either place
+    tokens = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(
+        [HUGE_INT, "-" + HUGE_INT, str(2**70), "2.5", "1e3", "x", "", "1 2 3", "# note"]))
+    lines = draw(st.lists(st.tuples(tokens, tokens).map(" ".join), min_size=0, max_size=6))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(body=_graph_file_bodies(),
+       argv=st.sampled_from([["compute", "chi"], ["compute", "dichif"], ["compute", "digraph-chi"],
+                             ["certificate", "--t", "1", "--d", "1"]]))
+@example(body='{"n": 2, "edges": %s}' % DEEP, argv=["compute", "chi"])
+@example(body='{"n": 2, "edges": [], "labels": %s}' % DEEP, argv=["compute", "chi"])
+def test_adversarial_graph_files_end_in_one_json_line(tmp_path_factory, body, argv):
+    # whatever the file holds, cli.main returns an exit code and prints one
+    # strict JSON line, a report or an error, and no exception escapes it
+    path = str(tmp_path_factory.getbasetemp() / "adversarial.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(body)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv[:2] + [path] + argv[2:])
+    assert code in (0, 1, 2, 3)
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0], parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
 
 
 @pytest.mark.parametrize("command", ["certify", "certificate"])

@@ -390,8 +390,9 @@ def test_dichromatic_exact_examples():
     value, witness = dichromatic_number_exact(complete_graph(3))
     assert value == 2 and digraph_chromatic_number(witness) == 2
     assert dichromatic_number_exact(cycle_graph(4))[0] == 2
+    # 22 edges: 2^21 codes below the top bit, past the 2^20 of the gate
     with pytest.raises(BudgetExceededError):
-        dichromatic_number_exact(complete_graph(7))
+        dichromatic_number_exact(Graph(8, list(complete_graph(7).edges) + [(6, 7)]))
 
 
 def test_dichromatic_mc():
@@ -1220,12 +1221,22 @@ def test_orientation_search_edges_agree():
         for G in (path_graph(4), complete_graph(3)):
             with pytest.raises(InputError):
                 search(G, 0)
+    # the exact gates count the 2^(e-1) codes the walk visits, as the
+    # exhaustive --mode mc gate does: K7 (21 edges, 2^20 codes) answers, and
+    # a pendant edge more is refused by all three with the same sizes
+    K7 = complete_graph(7)
+    assert dichromatic_number_exact(K7)[0] == 3
+    assert fractional_dichromatic(K7) == Fraction(7, 3)
+    assert dichromatic_lower_bound_mc(K7, trials=2**21)[0] == 3
+    K7_pendant = Graph(8, list(K7.edges) + [(6, 7)])
     gates = []
-    for search in (dichromatic_number_exact, fractional_dichromatic):
+    for search in (dichromatic_number_exact, fractional_dichromatic,
+                   lambda G: dichromatic_lower_bound_mc(G, trials=2**22)):
         with pytest.raises(BudgetExceededError) as exc:
-            search(complete_graph(7))
+            search(K7_pendant)
         gates.append((exc.value.what, exc.value.needed, exc.value.limit))
-    assert gates[0] == gates[1] == (gates[0][0], 2**21, 2**20)
+    assert gates[0] == gates[1]
+    assert {gate[1:] for gate in gates} == {(2**21, 2**20)}
     # past the 24-vertex budget of the digraph-chromatic search a non-forest
     # is still refused when sampled
     with pytest.raises(BudgetExceededError) as exc:

@@ -30,6 +30,9 @@ from oracles import (
     brute_maximal_independent_sets,
     generator_maximal_independent_sets,
     is_independent,
+    per_candidate_max_acyclic_weight,
+    per_candidate_maximal_acyclic_sets,
+    per_candidate_maximal_induced_forests,
 )
 
 
@@ -280,6 +283,64 @@ def test_maximal_induced_forests_examples():
     assert sorted(_maximal_induced_forests(complete_graph(4))) == sorted(
         1 << u | 1 << v for u in range(4) for v in range(u + 1, 4))
     assert _maximal_induced_forests(Graph(4, [(0, 1), (1, 2)])) == [15]
+
+
+def _outcome(search, *args, **kwargs):
+    # the result, or the sizes of the cap refusal
+    try:
+        return search(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return "refused", exc.what, exc.needed, exc.limit
+
+
+def test_maximal_acyclic_sets_keep_the_per_candidate_order():
+    # the closure at an include step keeps the tree, so the same sets come
+    # back in the same order, and the cap refuses at the same count
+    rng = random.Random(61)
+    for _ in range(1000):
+        G = _random_graph(rng, n_max=11, p=rng.choice((0.3, 0.5, 0.8)))
+        D = random_orientation(G, rng.randrange(2**32))
+        S = rng.getrandbits(G.n) if rng.random() < 0.5 else G.full_mask
+        v = rng.randrange(G.n)
+        for kwargs in ({}, {"within": S}, {"within": S | 1 << v, "containing": v}):
+            want = per_candidate_maximal_acyclic_sets(D, **kwargs)
+            assert maximal_acyclic_sets(D, **kwargs) == want
+            cap = rng.randrange(len(want))
+            got = _outcome(maximal_acyclic_sets, D, cap=cap, **kwargs)
+            assert got == _outcome(per_candidate_maximal_acyclic_sets, D, cap=cap, **kwargs)
+            # an empty ground set returns [0] without counting it
+            assert got[:2] == ("refused", "maximal acyclic sets") or want == [0]
+
+
+def test_maximal_induced_forests_keep_the_per_candidate_order():
+    rng = random.Random(62)
+    for _ in range(1000):
+        G = _random_graph(rng, n_max=11, p=rng.choice((0.2, 0.4, 0.7)))
+        assert _maximal_induced_forests(G) == per_candidate_maximal_induced_forests(G)
+
+
+def test_max_acyclic_weight_keeps_the_per_candidate_search():
+    # the same value, and the node cap refuses at the same count, on small
+    # weighted digraphs and on sparse and dense ones of 30 to 120 vertices
+    rng = random.Random(63)
+    cases = []
+    for _ in range(1000):
+        G = _random_graph(rng, n_max=10, p=rng.choice((0.3, 0.6, 0.9)))
+        weights = [Fraction(rng.randint(0, 8), rng.choice((1, 2, 3, 7))) for _ in range(G.n)]
+        cases.append((G, weights, rng.choice((1, 2, 5, 20, 1 << 20))))
+    for _ in range(30):
+        n = rng.randint(30, 120)
+        G = _random_graph(rng, n_max=n, p=rng.choice((4 / (n - 1), 0.1, 0.5)))
+        weights = [Fraction(rng.randint(0, 3)) if rng.random() < 0.5 else Fraction(1)
+                   for _ in range(G.n)]
+        cases.append((G, weights, rng.choice((50, 200))))
+    refused = 0
+    for G, weights, cap in cases:
+        D = random_orientation(G, rng.randrange(2**32))
+        got = _outcome(max_acyclic_weight, D, weights, cap=cap)
+        assert got == _outcome(per_candidate_max_acyclic_weight, D, weights, cap=cap)
+        refused += isinstance(got, tuple)
+    assert 100 <= refused <= len(cases) - 100
 
 
 def test_enumerators_leave_no_reference_cycles():
