@@ -650,11 +650,10 @@ def _best_orientation(
     the orientations are enumerated as binary counters; only the codes
     below 2^(e-1) are visited, since reversing every arc keeps the value,
     and more than 2^``edge_budget`` of them are refused before the first.
-    Otherwise the orientations are
-    the seeded samples ``derive_rng(seed, i)`` for ``i < trials``, gated
-    before the first by 2^``ORIENT_EDGE_BUDGET`` samples.  The empty graph
-    gives 0, and every orientation of a forest is acyclic, so forests
-    short-circuit to 1.
+    Otherwise the orientations are the seeded samples
+    ``derive_rng(seed, i)`` for ``i < trials``, gated before the first by
+    2^``ORIENT_EDGE_BUDGET`` samples.  The empty graph gives 0, and every
+    orientation of a forest is acyclic, so forests short-circuit to 1.
 
     The search stops as soon as the best value reaches ``k // 2 + 1``,
     where k is the degeneracy of G, because no orientation D exceeds it:

@@ -295,11 +295,12 @@ def max_acyclic_weight(D: Digraph, weights: Sequence[Fraction], cap: int = COLUM
     weights are scaled by the lcm L of their denominators.  Each node holds
     an acyclic A and the candidates that each extend A.  It branches on the
     heaviest candidate u, first on A + u, keeping only the candidates that
-    still extend A + u, then on A without u, and it drops a node whose
-    w(A) + w(candidates) is at most the best weight found.  A vertex of
-    weight zero changes no sum, so it is never a candidate.  The result is
-    0 with no vertices or no positive weight.  ``cap`` bounds the nodes
-    expanded; past it :class:`BudgetExceededError` is raised.
+    still extend A + u (all but :func:`_cycle_closers` of u), then on A
+    without u, and it drops a node whose w(A) + w(candidates) is at most
+    the best weight found.  A vertex of weight zero changes no sum, so it
+    is never a candidate.  The result is 0 with no vertices or no positive
+    weight.  ``cap`` bounds the nodes expanded; past it
+    :class:`BudgetExceededError` is raised.
     """
     n = D.graph.n
     if len(weights) != n:
