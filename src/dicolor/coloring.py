@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections.abc import Generator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice
+from functools import cache
+from itertools import accumulate, combinations, compress, islice
 from math import ceil, lcm
 from operator import eq, ne, or_
 
@@ -544,29 +545,78 @@ def _tournament_bound(m: int) -> int:
     return colors
 
 
-# dichi(K_m) and dichif(K_m) for m <= 6: the largest chi(T) and chi_f(T)
-# over the tournaments T on m vertices, as computed by this search with its
-# stops off (tests/test_coloring.py recomputes them)
+# dichi(K_m) for m <= 6: the largest chi(T) over the tournaments T on m
+# vertices, as computed by this search with its stops off
+# (tests/test_coloring.py recomputes it)
 _COMPLETE_DICHI = (0, 1, 1, 2, 2, 2, 2)
-_COMPLETE_DICHIF = (0, 1, 1, Fraction(3, 2), Fraction(3, 2), Fraction(7, 4), 2)
+
+# dichif of the 70 two-connected graphs on 3-6 vertices, as computed by this
+# search with its stops off (tests/test_coloring.py recomputes them): groups
+# "value:graph graph ...", a graph written as its vertex count n and the hex
+# mask of its edges, bit i for the i-th pair of combinations(range(n), 2).
+# A string, parsed on first use, costs less to import than a literal table
+_BLOCK_DICHIF = (
+    "6/5:65231;5/4:5299;4/3:42d 57e 65235 63239 63d98 65ab1;3/2:37 42f 43f 529d 53ec 52f9"
+    " 517e 65272 61a3b 65e31 650f3 61a3d 67329 65731 61b39 67d98 61a3f 650fb 651f3 6333d"
+    " 6527e 65676 61b3b 63d9a 67a39 61b3d 65e35 65b87 65ab5 67b39 65773 65776 678f3;5/3:53ed"
+    " 53dd 53fd 67d99 673e9 6567e 65e76 653f9 63b3d 61bbb 66fc3 62fe7 656fd 666ef 679f3"
+    " 65fda 655f7 63f9b 65fb5 6fff 657f7 6777b;7/4:53ff 676ef 67f9b 657ff 6777f;9/5:67ffb;"
+    "2:67fff"
+)
 
 
-def _orientation_stop(G: Graph, complete: tuple = _COMPLETE_DICHI) -> int | Fraction:
-    """The value at which the orientation search of a non-forest G stops:
-    an upper bound on chi(D) for every orientation D of G, the smallest of
+def _block_key(adj: tuple[int, ...] | list[int], B: int) -> tuple:
+    """A label-free invariant of the subgraph induced on B: for each vertex
+    its degree, twice the edges among its neighbours and its neighbours'
+    degrees, sorted.  It tells the 70 graphs of ``_BLOCK_DICHIF`` apart."""
+    nbrs = [(adj[v] & B, v) for v in iter_bits(B)]
+    key = []
+    for N, v in nbrs:
+        degrees = []
+        pairs = 0
+        for M, u in nbrs:
+            if (N >> u) & 1:
+                degrees.append(M.bit_count())
+                pairs += (M & N).bit_count()
+        degrees.sort()
+        key.append((len(degrees), pairs, *degrees))
+    key.sort()
+    return tuple(key)
+
+
+@cache
+def _block_table() -> dict[tuple, Fraction]:
+    """``_BLOCK_DICHIF`` by :func:`_block_key`."""
+    table = {}
+    for group in _BLOCK_DICHIF.split(";"):
+        value, codes = group.split(":")
+        for code in codes.split():
+            n, mask = int(code[0]), int(code[1:], 16)
+            adj = [0] * n
+            for i, (u, v) in enumerate(combinations(range(n), 2)):
+                if (mask >> i) & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            table[_block_key(adj, (1 << n) - 1)] = Fraction(value)
+    return table
+
+
+def _orientation_stop(G: Graph) -> int:
+    """The value at which the ``dichi`` search of a non-forest G stops: an
+    upper bound on chi(D) for every orientation D of G, the smallest of
     k // 2 + 1 for a k-degenerate G, the colours of the greedy colouring
     along a degeneracy order, and the largest bound over the blocks B of G,
-    ``complete[|B|]`` for |B| <= 6 and t(|B|) of :func:`_tournament_bound`
-    above.  With ``complete`` the dichif(K_m) column it bounds chi_f(D)
-    instead.  The proofs are in :func:`_best_orientation`.
+    ``_COMPLETE_DICHI[|B|]`` for |B| <= 6 and t(|B|) of
+    :func:`_tournament_bound` above.  The proofs are in
+    :func:`_best_orientation`.
     """
     k, colors = degeneracy_coloring(G)
     stop = min(k // 2 + 1, max(colors) + 1)
-    if stop > complete[3]:
+    if stop > 2:
         # a non-forest has a block with a cycle, of at least 3 vertices, and
-        # the block bound grows with the size, so the blocks can only lower a
-        # stop above complete[3]
-        stop = min(stop, max(complete[s] if s < len(complete) else _tournament_bound(s)
+        # the block bound is at least 2 there, so the blocks can only lower a
+        # stop above 2
+        stop = min(stop, max(_COMPLETE_DICHI[s] if s <= 6 else _tournament_bound(s)
                              for s in map(int.bit_count, blocks(G))))
     return stop
 
@@ -583,37 +633,66 @@ def _has_clique(adj: tuple[int, ...], P: int, q: int) -> bool:
     return False
 
 
-def _fractional_stop(G: Graph) -> int | Fraction:
-    """The value at which the ``dichif`` search of a non-forest G stops:
-    an upper bound on chi_f(D) for every orientation D of G, the smallest
-    of :func:`_orientation_stop` with the dichif(K_m) column and va_f(G),
+def _fractional_stop(G: Graph) -> tuple[int | Fraction, int | Fraction]:
+    """The value at which the ``dichif`` search of a non-forest G stops, an
+    upper bound on chi_f(D) for every orientation D of G, and the largest
+    ``_BLOCK_DICHIF`` value over the blocks of G (1 for none).  When every
+    block with a cycle is in the table, that value is the answer and the
+    stop.  Otherwise the stop is the smallest of the degeneracy and colour
+    stops of :func:`_orientation_stop`, the largest bound over the blocks B
+    with a cycle (the table value, or t(|B|) past 6 vertices), and va_f(G),
     the covering LP over the maximal induced forests of G
-    (:func:`families._maximal_induced_forests`).  va_f is not computed,
-    and never refused, when G has more vertices than the LP gate or holds
-    a clique on ceil(2 stop) vertices, where it cannot lower the stop.
-    The proofs are in :func:`_best_orientation`.
-    """
-    stop = _orientation_stop(G, _COMPLETE_DICHIF)
-    if G.n <= LP_VERTEX_BUDGET and not _has_clique(G.adj, G.full_mask, ceil(2 * stop)):
-        stop = min(stop, _solve_cover_lp(G.n, _maximal_induced_forests(G))[0])
-    return stop
-
-
-def _fractional_floor(G: Graph, stop: int | Fraction) -> int | Fraction:
-    """A lower bound on chi_f(D) for some orientation D of a non-forest G,
-    chosen to meet ``stop``: when stop < 3/2, g / (g - 1) for the length g
-    of a shortest cycle of G, found by a breadth-first search over the
-    adjacency masks from every vertex; otherwise dichif(K_m) when G holds
-    a clique on m vertices, m <= 6 the smallest with dichif(K_m) >= stop;
-    1 when that clique is missing or no such m exists.  The proofs are in
-    :func:`_best_orientation`.
+    (:func:`families._maximal_induced_forests`).  va_f is not computed past
+    the LP gate, nor when G holds a clique on ceil(2 stop) vertices, where
+    it cannot lower the stop.  The proofs are in :func:`_best_orientation`.
     """
     adj = G.adj
+    table = _block_table()
+    known = top = 1
+    solved = True
+    for B in blocks(G):
+        size = B.bit_count()
+        if size < 3:
+            continue  # a bridge lies on no cycle
+        value = table.get(_block_key(adj, B)) if size <= 6 else None
+        if value is None:
+            solved = False
+            value = _tournament_bound(size)
+        else:
+            known = max(known, value)
+        top = max(top, value)
+    if solved:
+        # top is the answer, so no other bound lies below it
+        return top, top
+    k, colors = degeneracy_coloring(G)
+    stop = min(k // 2 + 1, max(colors) + 1, top)
+    if G.n <= LP_VERTEX_BUDGET and not _has_clique(adj, G.full_mask, ceil(2 * stop)):
+        stop = min(stop, _solve_cover_lp(G.n, _maximal_induced_forests(G))[0])
+    return stop, known
+
+
+def _fractional_floor(G: Graph, stop: int | Fraction, known: int | Fraction) -> int | Fraction:
+    """A lower bound on chi_f(D) for some orientation D of a non-forest G,
+    chosen to meet ``stop``: ``known``, the largest table value over the
+    blocks of G, if it does; otherwise, when stop < 3/2, the larger of
+    ``known`` and g / (g - 1) for the length g of a shortest cycle of G,
+    found by a breadth-first search over the adjacency masks from every
+    vertex; and when stop >= 3/2, dichif(K_m) when G holds a clique on m
+    vertices, m <= 6 the smallest with dichif(K_m) >= stop, and ``known``
+    when that clique is missing or no such m exists.  The proofs are in
+    :func:`_best_orientation`.
+    """
+    if known >= stop:
+        return known
+    adj = G.adj
     if stop >= Fraction(3, 2):
-        for m in range(3, len(_COMPLETE_DICHIF)):
-            if _COMPLETE_DICHIF[m] >= stop:
-                return _COMPLETE_DICHIF[m] if _has_clique(adj, G.full_mask, m) else 1
-        return 1
+        table = _block_table()
+        for m in range(3, 7):
+            full = (1 << m) - 1
+            value = table.get(_block_key([full ^ (1 << v) for v in range(m)], full), 0)
+            if value >= stop:
+                return value if _has_clique(adj, G.full_mask, m) else known
+        return known
     # the breadth-first layers from a root close a cycle of at most 2 d + 1
     # edges when two vertices of layer d are adjacent, and of at most
     # 2 d + 2 when two of them share a neighbour in no earlier layer: the
@@ -636,7 +715,7 @@ def _fractional_floor(G: Graph, stop: int | Fraction) -> int | Fraction:
             seen |= reach
             layer = reach
             length += 2
-    return Fraction(girth, girth - 1)
+    return max(known, Fraction(girth, girth - 1))
 
 
 def _best_orientation(
@@ -684,42 +763,46 @@ def _best_orientation(
     by t(|B|) of :func:`_tournament_bound` above; t(7) = t(8) = 3 are the
     dichromatic numbers of K7 and K8.
 
-    Fractional values (``dichif``) stop at :func:`_fractional_stop`, the
-    smallest of three bounds on chi_f(D) for every orientation D, with the
-    same witness argument.  First, chi_f(D) <= chi(D), so the degeneracy
-    and colour stops hold.  Second, chi_f(D[B]) <= chi_f(T) <= dichif(K_|B|)
-    for the tournament T above, read from ``_COMPLETE_DICHIF`` for |B| <= 6
-    and bounded by t(|B|) above.  And chi_f(D) is at most x, the largest
-    chi_f(D[B]).  Lay an optimal fractional cover of each D[B] out on
-    [0, x) as acyclic sets A_B(s): its sets on intervals as long as their
-    weights, then empty sets.  Trim each so that every vertex of B lies in
-    A_B(s) for s in a set of length exactly 1; subsets of acyclic sets are
-    acyclic.  Add the blocks along the block-cut tree, each meeting the
-    union H of the ones placed before in one cut vertex c: move B's
-    intervals around [0, x), cutting them where needed but never
-    stretching them, so that c lies in A_B(s) exactly where it lies in the
-    sets placed for H; both are sets of length 1.  At each s the union of
-    all A_B(s) is then acyclic, since a directed cycle lies in one block B,
-    where the other sets add at most a cut vertex that A_B(s) already
-    holds.  So D has a fractional cover of weight x.  Third, a set inducing
-    a forest of G holds no cycle of G, so it is acyclic in every D, and
-    chi_f(D) <= va_f(G), the covering LP over the maximal induced forests
-    of G.  A clique Q of G meets an induced forest in at most 2 vertices,
-    so a cover by induced forests weighs at least |Q| / 2.  With s the
-    smaller of the first two bounds, a clique on ceil(2 s) vertices gives
-    va_f(G) >= s, so the LP is skipped when G holds one.
+    Fractional values (``dichif``) stop at :func:`_fractional_stop`, with
+    the same witness argument.  chi_f(D) is the largest chi_f(D[B]) over
+    the blocks B.  It is at most that largest value x.  Lay an optimal
+    fractional cover of each D[B] out on [0, x) as acyclic sets A_B(s): its
+    sets on intervals as long as their weights, then empty sets.  Trim each
+    so that every vertex of B lies in A_B(s) for s in a set of length
+    exactly 1; subsets of acyclic sets are acyclic.  Add the blocks along
+    the block-cut tree, each meeting the union H of the ones placed before
+    in one cut vertex c: move B's intervals around [0, x), cutting them
+    where needed but never stretching them, so that c lies in A_B(s)
+    exactly where it lies in the sets placed for H; both are sets of length
+    1.  At each s the union of all A_B(s) is then acyclic, since a directed
+    cycle lies in one block B, where the other sets add at most a cut
+    vertex that A_B(s) already holds.  So D has a fractional cover of
+    weight x.  It is at least x, since restricting a fractional cover of D
+    to a set Q gives one of D[Q] (a subset of an acyclic set is acyclic),
+    and a block is an induced subgraph.  Distinct blocks share no edge, so
+    their orientations are independent, and the largest chi_f(D) is the
+    largest dichif(G[B]).  ``_BLOCK_DICHIF`` holds that for every block
+    with a cycle on at most 6 vertices, and a bridge gives 1.  A larger
+    block is bounded by t(|B|) as above, since chi_f(D[B]) <= chi(D[B]).
+    The degeneracy and colour stops hold, since chi_f(D) <= chi(D).  And a
+    set inducing a forest of G holds no cycle of G, so it is acyclic in
+    every D, and chi_f(D) <= va_f(G), the covering LP over the maximal
+    induced forests of G.  A clique Q of G meets an induced forest in at
+    most 2 vertices, so a cover by induced forests weighs at least |Q| / 2.
+    With s the smaller of the other bounds, a clique on ceil(2 s) vertices
+    gives va_f(G) >= s, so the LP is skipped when G holds one.
 
     An exact fractional search (``trials`` None) then compares the stop
     with :func:`_fractional_floor`, a lower bound on the largest chi_f(D),
     and when that bound meets the stop it returns the stop with None for
     the witness: no orientation, family or LP is evaluated.  The bound is
-    chi_f(D[Q]) for a set Q and an orientation of G[Q] extended to some D,
-    and chi_f(D) >= chi_f(D[Q]), since restricting a fractional cover of
-    D to Q gives one of D[Q] (a subset of an acyclic set is acyclic).  For
-    a clique Q on m <= 6 vertices, oriented as a tournament attaining the
-    table entry, chi_f(D[Q]) = dichif(K_m).  A shortest cycle C of G, of
-    length g, has no chord, since a chord would close a shorter cycle, so
-    orienting C as a directed cycle makes D[V(C)] the directed g-cycle.
+    chi_f(D[Q]) <= chi_f(D) for a set Q and an orientation of G[Q] extended
+    to some D: a block in the table, oriented to attain its value, or a
+    clique on m <= 6 vertices, oriented to attain dichif(K_m).  When every
+    block is in the table, the largest table value is both the stop and
+    the bound.  A shortest cycle C of G, of length g, has no chord, since a
+    chord would close a shorter cycle, so orienting C as a directed cycle
+    makes D[V(C)] the directed g-cycle.
     Its acyclic sets are the proper subsets of V(C): the g sets missing one
     vertex each, weighted 1 / (g - 1), cover every vertex, and the weight
     1 / (g - 1) on each vertex puts at most 1 on every acyclic set, so both
@@ -834,10 +917,13 @@ def _best_orientation(
     # the automorphisms are collected at the first value that does not raise
     # the best; samples come in no code order, so they are never skipped
     collect = trials is None
-    bound = _orientation_stop(G) if integer else _fractional_stop(G)
-    if not integer and trials is None and _fractional_floor(G, bound) >= bound:
-        # some orientation has value at least the stop, which none exceeds
-        return bound, None
+    if integer:
+        bound = _orientation_stop(G)
+    else:
+        bound, known = _fractional_stop(G)
+        if trials is None and _fractional_floor(G, bound, known) >= bound:
+            # some orientation has value at least the stop, which none exceeds
+            return bound, None
     # while the best is 1 an orientation the pool does not skip has value 2
     # when the values are integers and the stop is 2
     cycle_stop = integer and bound == 2
@@ -1011,11 +1097,11 @@ def fractional_dichromatic(
     its optimal cover are what the search pools.  The search stops at
     :func:`_fractional_stop`, an upper bound over every orientation.
     Without ``trials`` the stop is the answer, and no orientation is
-    evaluated, when :func:`_fractional_floor` meets it: a clique whose
-    dichif(K_m) table entry reaches the stop, or, below 3/2, a shortest
-    cycle of length g with g / (g - 1) at least the stop.  Only an
-    evaluated orientation needs an LP, so the 20-vertex LP gate then
-    refuses nothing: a triangle plus 18 isolated vertices gives 3/2.
+    evaluated, when :func:`_fractional_floor` meets it, as it does when
+    every block has at most 6 vertices: the answer is then the largest
+    ``_BLOCK_DICHIF`` value over the blocks.  Only an evaluated orientation
+    needs an LP, so the 20-vertex LP gate then refuses nothing: C4 plus 17
+    isolated vertices gives 4/3.
     """
     covers: dict[tuple[int, ...], tuple[Fraction, list[int]]] = {}
 

@@ -37,13 +37,25 @@ def format_fraction(fr) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+# the most digits Python reads into an int, and so the most a numerator or
+# denominator written with an exponent may reach: Fraction builds 10^e in
+# full, which ran past 20 s for e = 10^8
+RATIONAL_DIGITS = 4300
+
+
 def parse_fraction(text: str) -> Fraction:
+    body = str(text).strip()
+    mantissa, e, exponent = body.upper().partition("E")
     try:
-        return Fraction(str(text).strip())
+        # the digits of the numerator or denominator an exponent makes
+        digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent)) if e else 0
+        if digits <= RATIONAL_DIGITS:
+            return Fraction(body)
     except ZeroDivisionError:
         raise GraphFormatError(f"zero denominator in rational {text!r}")
     except ValueError:
         raise GraphFormatError(f"malformed rational {text!r}")
+    raise GraphFormatError(f"rational {text!r} needs more than {RATIONAL_DIGITS} digits")
 
 
 def _check_vertex_count(n: int) -> None:

@@ -62,6 +62,12 @@ def test_parse_weights():
     assert w.values == (Fraction(1, 2), Fraction(3))
     with pytest.raises(GraphFormatError):
         parse_graph_text('{"n":2,"edges":[[0,1]],"weights":["3/0","1"]}')
+    # an exponent may not make more digits than Python reads into an int
+    assert parse_fraction("-2.5e-3") == Fraction(-1, 400)
+    assert parse_fraction("1e4299") == 10**4299
+    for text in ("1e4300", "12e4299", "1e99999999", "1e-99999999", "1e" + "9" * 5000):
+        with pytest.raises(GraphFormatError):
+            parse_fraction(text)
 
 
 def test_parse_errors_carry_position():
@@ -369,9 +375,14 @@ def _graph_file_bodies(draw):
                              ["certificate", "--t", "1", "--d", "1"]]))
 @example(body='{"n": 2, "edges": %s}' % DEEP, argv=["compute", "chi"])
 @example(body='{"n": 2, "edges": [], "labels": %s}' % DEEP, argv=["compute", "chi"])
+@example(body='{"n": 1, "edges": [], "weights": ["1e99999999"]}', argv=["compute", "chi"])
+@example(body='{"n": 1, "edges": [], "weights": ["1e-99999999"]}',
+         argv=["certificate", "--t", "1", "--d", "1"])
 def test_adversarial_graph_files_end_in_one_json_line(tmp_path_factory, body, argv):
     # whatever the file holds, cli.main returns an exit code and prints one
-    # strict JSON line, a report or an error, and no exception escapes it
+    # strict JSON line, a report or an error, and no exception escapes it.
+    # A weight of 1e99999999 or 1e-99999999 built 10^99999999 and ran past
+    # 20 s; it is refused by its digits
     path = str(tmp_path_factory.getbasetemp() / "adversarial.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(body)

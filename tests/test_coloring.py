@@ -27,6 +27,7 @@ from dicolor.errors import BudgetExceededError, DicolorError, InputError
 from dicolor.graphs import (
     Digraph,
     Graph,
+    blocks,
     complete_graph,
     cycle_graph,
     derive_rng,
@@ -492,28 +493,128 @@ def test_orientation_stop_is_never_below_the_dichromatic_number():
     assert lowered >= 4
 
 
+def _without_table(monkeypatch):
+    # no block is in the dichif table: each is bounded by t(|B|) and va_f,
+    # and no floor is read off the table
+    monkeypatch.setattr(coloring, "_block_table", dict)
+
+
 def _without_stops(monkeypatch):
     # a stop above every value: the searches walk every code they keep
-    monkeypatch.setattr(coloring, "_orientation_stop", lambda G, complete=None: G.n + 1)
-    monkeypatch.setattr(coloring, "_fractional_stop", lambda G: G.n + 1)
+    _without_table(monkeypatch)
+    monkeypatch.setattr(coloring, "_orientation_stop", lambda G: G.n + 1)
+    monkeypatch.setattr(coloring, "_fractional_stop", lambda G: (G.n + 1, 1))
 
 
 def _without_fractional_floor(monkeypatch):
-    # a lower bound below every stop: exact dichif searches walk the codes
-    monkeypatch.setattr(coloring, "_fractional_floor", lambda G, stop: 0)
+    # a lower bound below every stop, and no table, whose stop would be the
+    # answer: exact dichif searches walk the codes
+    _without_table(monkeypatch)
+    monkeypatch.setattr(coloring, "_fractional_floor", lambda G, stop, known: 0)
+
+
+def _has_small_blocks(G):
+    return max(map(int.bit_count, blocks(G))) <= 6
 
 
 def test_complete_graph_tables_are_what_the_search_computes(monkeypatch):
-    # dichi(K_m) and dichif(K_m) for m <= 6, recomputed with the stops off,
-    # since a stop read from a wrong table would return that table's value
+    # dichi(K_m) for m <= 6, recomputed with the stops off, since a stop read
+    # from a wrong table would return that table's value; the dichif(K_m)
+    # rows of the block table are recomputed with the rest of it below
+    keys = [coloring._block_key(complete_graph(m).adj, (1 << m) - 1) for m in range(3, 7)]
+    assert [coloring._block_table()[key] for key in keys] == [
+        Fraction(3, 2), Fraction(3, 2), Fraction(7, 4), 2]
     _without_stops(monkeypatch)
     for m in range(1, 7):
-        G = complete_graph(m)
-        assert dichromatic_number_exact(G)[0] == coloring._COMPLETE_DICHI[m]
-        assert fractional_dichromatic(G) == coloring._COMPLETE_DICHIF[m]
+        assert dichromatic_number_exact(complete_graph(m))[0] == coloring._COMPLETE_DICHI[m]
     assert coloring._COMPLETE_DICHI[1:] == (1, 1, 2, 2, 2, 2)
-    assert coloring._COMPLETE_DICHIF[1:] == (1, 1, Fraction(3, 2), Fraction(3, 2),
-                                             Fraction(7, 4), 2)
+
+
+def _atlas_blocks():
+    # the two-connected graphs on 3-6 vertices, one per isomorphism class
+    return [Graph(H.number_of_nodes(), sorted(tuple(sorted(e)) for e in H.edges()))
+            for H in nx.graph_atlas_g() if 3 <= H.number_of_nodes() <= 6 and nx.is_biconnected(H)]
+
+
+def test_block_table_is_what_the_search_computes(monkeypatch):
+    # the atlas lists each class once, so 70 distinct keys prove the
+    # label-free key complete on them, and each value is recomputed by the
+    # search with its stops, floor and table off
+    graphs = _atlas_blocks()
+    keys = [coloring._block_key(G.adj, G.full_mask) for G in graphs]
+    assert len(graphs) == len(set(keys)) == len(coloring._block_table()) == 70
+    table = coloring._block_table()
+    values = [table[key] for key in keys]
+    _without_stops(monkeypatch)
+    _without_fractional_floor(monkeypatch)
+    assert values == [fractional_dichromatic(G) for G in graphs]
+    # a relabelled copy has the same key
+    rng = random.Random(3)
+    for G in graphs[::7]:
+        perm = rng.sample(range(G.n), G.n)
+        H = Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+        assert coloring._block_key(H.adj, H.full_mask) == coloring._block_key(G.adj, G.full_mask)
+
+
+def test_block_table_keeps_every_answer(monkeypatch):
+    # seeded non-forests with n <= 9: the answer with the table equals the
+    # search without it, and every graph whose blocks have at most 6
+    # vertices (43 of the 60) is answered with no LP
+    rng = random.Random(37)
+    graphs = []
+    while len(graphs) < 60:
+        n = rng.randint(3, 9)
+        G = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        if not is_forest(G) and len(G.edges) <= 13:
+            graphs.append(G)
+    lps = []
+    real = coloring._solve_cover_lp
+    monkeypatch.setattr(coloring, "_solve_cover_lp", lambda n, cols: lps.append(n) or real(n, cols))
+    answered = 0
+    got = []
+    for G in graphs:
+        lps.clear()
+        got.append(fractional_dichromatic(G))
+        if _has_small_blocks(G):
+            assert lps == []
+            answered += 1
+    _without_table(monkeypatch)
+    assert got == [fractional_dichromatic(G) for G in graphs]
+    assert answered >= 43 and len(graphs) - answered >= 17
+
+
+def _glued_blocks():
+    # small blocks glued at one vertex, with their answers: the octahedron
+    # and the wheel with 4 spokes (20 edges), the octahedron and C5, two C6
+    # with two crossing chords, K6 less an edge and a triangle, and two K5
+    # less two edges at a vertex
+    octahedron = [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3]
+    wheel = [(5, 6), (6, 7), (7, 8), (5, 8)] + [(i, 9) for i in range(5, 9)]
+    c5 = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    chords = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)]
+    two_chords = chords + [(5 + u, 5 + v) for u, v in chords]
+    k6e = [(u, v) for u, v in combinations(range(6), 2) if (u, v) != (0, 1)]
+    k5 = [e for e in combinations(range(5), 2) if e not in ((0, 1), (0, 2))]
+    return [(Graph(10, octahedron + wheel), Fraction(5, 3)),
+            (Graph(10, octahedron + c5), Fraction(5, 3)),
+            (Graph(11, two_chords), Fraction(4, 3)),
+            (Graph(8, k6e + [(5, 6), (6, 7), (5, 7)]), Fraction(9, 5)),
+            (Graph(9, k5 + [(4 + u, 4 + v) for u, v in k5]), Fraction(5, 3))]
+
+
+def test_glued_small_blocks_solve_no_lp(monkeypatch):
+    # each answer is the largest of its blocks' table values, found with no
+    # LP, and the search without the table agrees
+    lps = []
+    real = coloring._solve_cover_lp
+    monkeypatch.setattr(coloring, "_solve_cover_lp", lambda n, cols: lps.append(n) or real(n, cols))
+    for G, value in _glued_blocks():
+        lps.clear()
+        assert fractional_dichromatic(G) == value
+        assert lps == []
+    _without_table(monkeypatch)
+    for G, value in _glued_blocks()[1:]:
+        assert fractional_dichromatic(G) == value
 
 
 def _forest_cover_value(G):
@@ -522,27 +623,37 @@ def _forest_cover_value(G):
 
 
 def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkeypatch):
-    # the stop against the stop-free search on the 300 stop graphs, and that
-    # search against the brute-force LP over every lower-half code where
-    # basis enumeration is cheap (n <= 5, m <= 7: 97 graphs; K5 alone takes
-    # about 20 s).  va_f is computed on every graph, also where the clique
-    # test skips it, and must then be at least the stop
+    # the stop with and without the table against the stop-free search on
+    # the 300 stop graphs, and that search against the brute-force LP over
+    # every lower-half code where basis enumeration is cheap (n <= 5,
+    # m <= 7: 97 graphs; K5 alone takes about 20 s).  With the table the
+    # stop is the answer when every block has at most 6 vertices.  Without
+    # it, va_f is computed on every graph, also where the clique test skips
+    # it, and must then be at least the stop
     graphs = _stop_graphs()
-    stops = [coloring._fractional_stop(G) for G in graphs]
-    table_stops = [coloring._orientation_stop(G, coloring._COMPLETE_DICHIF) for G in graphs]
+    stops = [coloring._fractional_stop(G)[0] for G in graphs]
+    _without_table(monkeypatch)
+    bare_stops = [coloring._fractional_stop(G)[0] for G in graphs]
     _without_stops(monkeypatch)
     families = {}
-    skipped = brute = reached = 0
-    for G, stop, table_stop in zip(graphs, stops, table_stops):
+    skipped = brute = reached = lowered = small = 0
+    for G, stop, bare_stop in zip(graphs, stops, bare_stops):
         value = fractional_dichromatic(G)
-        assert stop >= value
-        reached += stop == value
+        assert stop >= value and bare_stop >= value
+        if _has_small_blocks(G):
+            small += 1
+            assert stop == value
+        k, colors = degeneracy_coloring(G)
+        cyclic = [B.bit_count() for B in blocks(G) if B.bit_count() > 2]
+        block_stop = min(k // 2 + 1, max(colors) + 1, max(map(coloring._tournament_bound, cyclic)))
         forests = _forest_cover_value(G)
-        if coloring._has_clique(G.adj, G.full_mask, ceil(2 * table_stop)):
+        if coloring._has_clique(G.adj, G.full_mask, ceil(2 * block_stop)):
             skipped += 1
-            assert stop == table_stop <= forests
+            assert bare_stop == block_stop <= forests
         else:
-            assert stop == min(table_stop, forests)
+            assert bare_stop == min(block_stop, forests)
+        reached += bare_stop == value
+        lowered += bare_stop < block_stop
         if G.n <= 5 and len(G.edges) <= 7:
             brute += 1
             best = 0
@@ -553,34 +664,42 @@ def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkey
                 best = max(best, families[key])
             assert best == value
     assert graphs[0] == K5 and stops[0] == Fraction(7, 4)
-    # the stop is the answer on 250 of them, the clique test skips va_f on
-    # 155, and va_f lowers the stop on 144
-    assert skipped >= 150 and brute >= 97 and reached >= 250
-    assert sum(s < t for s, t in zip(stops, table_stops)) >= 140
+    # the table answers 267 of them; without it the stop is the answer on
+    # 240, the clique test skips va_f on 28, and va_f lowers the stop on 272
+    assert small >= 267 and brute >= 97 and reached >= 240
+    assert skipped >= 28 and lowered >= 272
 
 
 def test_fractional_floor_is_never_above_the_fractional_dichromatic_number(monkeypatch):
     # the lower bound, tested against each graph's own stop, against the
-    # stop-free search: it meets the stop on 242 of the 300 stop graphs and
-    # on none of the exhausting dichif graphs, whose searches no stop ends
+    # stop-free search: it meets the stop on every stop graph whose blocks
+    # have at most 6 vertices (267), on 17 of the other 33, and, without the
+    # table, on none of the exhausting dichif graphs, whose searches no stop
+    # ends
     graphs = _stop_graphs()
-    exhausting = _exhausting_dichif_graphs()
     floors = []
-    for G in graphs + exhausting:
-        stop = coloring._fractional_stop(G)
-        floors.append((G, coloring._fractional_floor(G, stop), stop))
+    for G in graphs:
+        stop, known = coloring._fractional_stop(G)
+        floors.append((G, coloring._fractional_floor(G, stop, known), stop))
+    _without_table(monkeypatch)
+    for G in _exhausting_dichif_graphs():
+        stop, known = coloring._fractional_stop(G)
+        floors.append((G, coloring._fractional_floor(G, stop, known), stop))
     _without_stops(monkeypatch)
     met = []
     for G, floor, stop in floors:
         assert floor <= fractional_dichromatic(G) <= stop
         met.append(floor >= stop)
-    assert sum(met[: len(graphs)]) >= 240
+    small = [_has_small_blocks(G) for G in graphs]
+    assert all(m for m, s in zip(met, small) if s)
+    assert sum(small) >= 267 and sum(m for m, s in zip(met, small) if not s) >= 17
     assert not any(met[len(graphs):])
 
 
 def test_fractional_floor_finds_the_shortest_cycle():
-    # below a stop of 3/2 the bound is g / (g - 1) for the girth g, which
-    # networkx computes on seeded non-forests, cycles and a cycle with chords
+    # below a stop of 3/2, with no table value, the bound is g / (g - 1) for
+    # the girth g, which networkx computes on seeded non-forests, cycles and
+    # a cycle with chords
     rng = random.Random(29)
     graphs = [cycle_graph(n) for n in (3, 4, 9, 20)]
     graphs.append(Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)]))
@@ -590,7 +709,7 @@ def test_fractional_floor_finds_the_shortest_cycle():
             graphs.append(G)
     for G in graphs:
         g = nx.girth(nx.Graph(list(G.edges)))
-        assert coloring._fractional_floor(G, Fraction(1)) == Fraction(g, g - 1)
+        assert coloring._fractional_floor(G, Fraction(1), 0) == Fraction(g, g - 1)
 
 
 def test_sampled_dichif_is_not_ended_by_the_lower_bound():
@@ -607,19 +726,22 @@ def test_sampled_dichif_is_not_ended_by_the_lower_bound():
 
 
 def test_fractional_stop_ends_cycle_like_searches(monkeypatch):
-    # C16 and C20 stop at va_f = n / (n - 1), K5 plus a 10-edge path at the
-    # K5 entry 7/4 of the table, and K_{1,19} plus an edge between two
-    # leaves at the triangle's 3/2.  The LPs counted are va_f and one per
-    # family evaluated.  The shortest cycle and the clique of the lower
-    # bound meet each stop, so no orientation is evaluated, and only the
-    # cycles solve va_f
+    # C16 and C20 stop at va_f = n / (n - 1), and C8 with the chord 02 at
+    # va_f = 3/2: each is one block past the table.  The LPs counted are va_f
+    # and one per family evaluated.  The shortest cycle, and the triangle
+    # of the lower bound, meet each stop, so no orientation is evaluated.
+    # K5 plus a 10-edge path and K_{1,19} plus an edge between two leaves
+    # have blocks of at most 5 vertices, so the table answers them with no
+    # LP, at the K5 entry 7/4 and the triangle's 3/2
     lps = []
     real = coloring._solve_cover_lp
     monkeypatch.setattr(coloring, "_solve_cover_lp", lambda n, cols: lps.append(n) or real(n, cols))
     k5_path = Graph(15, list(K5.edges) + [(4 + i, 5 + i) for i in range(10)])
     star_edge = Graph(20, [(0, i) for i in range(1, 20)] + [(1, 2)])
+    chord = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 2)])
     cases = [(cycle_graph(16), Fraction(16, 15), 1), (cycle_graph(20), Fraction(20, 19), 1),
-             (k5_path, Fraction(7, 4), 0), (star_edge, Fraction(3, 2), 0)]
+             (chord, Fraction(3, 2), 1), (k5_path, Fraction(7, 4), 0),
+             (star_edge, Fraction(3, 2), 0)]
     for G, value, count in cases:
         lps.clear()
         assert fractional_dichromatic(G) == value
@@ -765,7 +887,7 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
 
     fewer = 0
     for seed, G in enumerate(_pool_graphs() + _exhausting_dichif_graphs()):
-        stops = {True: coloring._orientation_stop(G), False: coloring._fractional_stop(G)}
+        stops = {True: coloring._orientation_stop(G), False: coloring._fractional_stop(G)[0]}
         for trials, digraphs in ((None, _lower_codes(G)), (300, _samples(G, 300, seed))):
             for value, integer in ((coloring._acyclic_cover, True), (lp_cover, False)):
                 evaluated = []
@@ -938,8 +1060,8 @@ def test_complete_graph_dichromatic_numbers():
 
 
 def _exhausting_dichif_graphs():
-    # graphs whose dichif search stops at no bound and whose automorphisms
-    # are collected: K5 less an edge, less two edges at one vertex (5/3,
+    # graphs whose dichif search, with the table off, stops at no bound and
+    # whose automorphisms are collected: K5 less an edge, less two edges at one vertex (5/3,
     # with a K4 inside, so no induced-forest LP), with a pendant edge, and
     # less two disjoint edges, the wheel with 4 spokes, K_{2,3}, K_{2,5},
     # K_{3,4}, C6 with two crossing chords and the octahedron
@@ -957,8 +1079,9 @@ def _orbit_graphs():
     # K5, K_{3,3}, C4 plus a chord, 40 seeded non-forests with at most 11
     # edges, the wheel with 5 spokes, the triangular prism and K_{2,4}, for
     # a skip-free search over every lower-half code.  The last three and
-    # the exhausting dichif graphs are there for their dichif searches; all
-    # but the prism's, which the fractional stop ends, reach the lazy start
+    # the exhausting dichif graphs are there for their dichif searches with
+    # the table off; all but the prism's, which va_f ends, reach the lazy
+    # start
     rng = random.Random(83)
     graphs = [K5, _biclique(3, 3), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])]
     while len(graphs) < 43:
@@ -972,7 +1095,9 @@ def _orbit_graphs():
 
 def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
     # exact dichi value and witness and dichif value against a loop that
-    # evaluates every code below 2^(e-1) with no pool and no orbit skip
+    # evaluates every code below 2^(e-1) with no pool and no orbit skip; the
+    # dichif table, which would answer most of these graphs, is off
+    _without_table(monkeypatch)
     started = []
     real = coloring._automorphism_maps
     monkeypatch.setattr(coloring, "_automorphism_maps", lambda G: started.append(G) or real(G))
@@ -988,10 +1113,10 @@ def test_orbit_skip_keeps_values_and_witnesses(monkeypatch):
         codes = _lower_codes(G)
         assert dichromatic_number_exact(G) == _first_maximum(codes, digraph_chromatic_number)
         assert fractional_dichromatic(G) == _first_maximum(codes, lp_value)[0]
-    # 21 of the 112 searches reach the lazy start with a non-trivial Aut(G),
+    # 22 of the 112 searches reach the lazy start with a non-trivial Aut(G),
     # all of them dichif searches that no stop ends; no dichi search with a
     # stop of 2 calls value twice, so none of those reaches it
-    assert sum(bool(real(G)) for G in started) >= 20
+    assert sum(bool(real(G)) for G in started) >= 22
 
 
 def test_bipartite_search_stops_at_the_first_cyclic_orientation(monkeypatch):
@@ -1188,13 +1313,14 @@ def test_fractional_dichromatic_examples():
     sampled = fractional_dichromatic(complete_graph(3), trials=16, seed=4)
     assert sampled <= Fraction(3, 2)
     # the 20-vertex LP gate refuses only searches that need an LP: the
-    # triangle meets the stop 3/2 of its block, so no orientation is
-    # evaluated, while C4's 4/3 lies below the stop of 3/2 and the search
-    # needs an LP for its first orientation
+    # triangle and C4 are blocks in the table, so no orientation is
+    # evaluated, while C7 is past it, its stop of 2 lies above its answer
+    # 7/6, and the search needs an LP for its first orientation
     assert fractional_dichromatic(path_graph(30)) == 1
     assert fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (0, 2)])) == Fraction(3, 2)
+    assert fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (2, 3), (0, 3)])) == Fraction(4, 3)
     with pytest.raises(BudgetExceededError) as exc:
-        fractional_dichromatic(Graph(21, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        fractional_dichromatic(Graph(21, [(i, (i + 1) % 7) for i in range(7)]))
     assert str(exc.value) == "digraph fractional LP: needs 21, budget is 20"
 
 
