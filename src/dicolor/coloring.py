@@ -401,33 +401,32 @@ def _automorphism_maps(G: Graph) -> list[tuple[list[int], int]]:
 
 
 def _orderly_orientations(
-    G: Graph, maps: list[tuple[list[int], int]] | None = None
+    G: Graph,
 ) -> Generator[Digraph | None, list[tuple[list[int], int]] | None, None]:
     """The orientations of G with codes below 2^(e-1), in increasing code
-    order, less those that an action in ``maps`` maps lower.
+    order, less those that a collected automorphism action maps lower.
 
     A code c is left out when an action s of :func:`_automorphism_maps`
-    gives min(s(c), s(c) ^ (2^e - 1)) < c.  ``maps`` holds (action,
-    levels) pairs and may instead be sent once, after any yield, with
-    ``send(maps)``, which returns None; the codes after the one just
-    yielded are then tested.  Until some action exists nothing is left
-    out, and the codes come from ``graphs.orientations``, which counts them
-    up with the in-masks carried from code to code.  From then on they come
-    from a depth-first search that fixes the bits from e-2 down to 0, 0
-    before 1, and prunes a prefix whose every completion would be left out
-    (the proof is in :func:`_best_orientation`); the in-masks go from one
-    yielded code to the next by reversing the edges whose bits differ.
+    gives min(s(c), s(c) ^ (2^e - 1)) < c.  The (action, levels) pairs are
+    sent once, after any yield, with ``send(maps)``, which returns None;
+    the codes after the one just yielded are then tested.  Until some
+    action exists nothing is left out, and the codes come from
+    ``graphs.orientations``, which carries the in-masks from code to code.
+    From then on they come from a depth-first search that fixes the bits
+    from e-2 down to 0, 0 before 1, and prunes a prefix whose every
+    completion would be left out (the proof is in
+    :func:`_best_orientation`); the in-masks go from one yielded code to
+    the next by reversing the edges whose bits differ.
     """
     m = len(G.edges)
     half = 1 << (m - 1)
     full = (1 << m) - 1
     for D in islice(orientations(G), half):
-        sent = yield D
-        if sent is not None:
-            maps = sent
+        maps = yield D
+        if maps is not None:
             yield
-        if maps:
-            break
+            if maps:
+                break
     else:
         return
     code = D.bits
@@ -545,11 +544,6 @@ def _tournament_bound(m: int) -> int:
     return colors
 
 
-# dichi(K_m) for m <= 6: the largest chi(T) over the tournaments T on m
-# vertices, as computed by this search with its stops off
-# (tests/test_coloring.py recomputes it)
-_COMPLETE_DICHI = (0, 1, 1, 2, 2, 2, 2)
-
 # dichif of the 70 two-connected graphs on 3-6 vertices, as computed by this
 # search with its stops off (tests/test_coloring.py recomputes them): groups
 # "value:graph graph ...", a graph written as its vertex count n and the hex
@@ -606,9 +600,8 @@ def _orientation_stop(G: Graph) -> int:
     upper bound on chi(D) for every orientation D of G, the smallest of
     k // 2 + 1 for a k-degenerate G, the colours of the greedy colouring
     along a degeneracy order, and the largest bound over the blocks B of G,
-    ``_COMPLETE_DICHI[|B|]`` for |B| <= 6 and t(|B|) of
-    :func:`_tournament_bound` above.  The proofs are in
-    :func:`_best_orientation`.
+    2 for |B| <= 6 and t(|B|) of :func:`_tournament_bound` above.  The
+    proofs are in :func:`_best_orientation`.
     """
     k, colors = degeneracy_coloring(G)
     stop = min(k // 2 + 1, max(colors) + 1)
@@ -616,7 +609,7 @@ def _orientation_stop(G: Graph) -> int:
         # a non-forest has a block with a cycle, of at least 3 vertices, and
         # the block bound is at least 2 there, so the blocks can only lower a
         # stop above 2
-        stop = min(stop, max(_COMPLETE_DICHI[s] if s <= 6 else _tournament_bound(s)
+        stop = min(stop, max(2 if s <= 6 else _tournament_bound(s)
                              for s in map(int.bit_count, blocks(G))))
     return stop
 
@@ -633,66 +626,59 @@ def _has_clique(adj: tuple[int, ...], P: int, q: int) -> bool:
     return False
 
 
-def _fractional_stop(G: Graph) -> tuple[int | Fraction, int | Fraction]:
-    """The value at which the ``dichif`` search of a non-forest G stops, an
-    upper bound on chi_f(D) for every orientation D of G, and the largest
-    ``_BLOCK_DICHIF`` value over the blocks of G (1 for none).  When every
-    block with a cycle is in the table, that value is the answer and the
-    stop.  Otherwise the stop is the smallest of the degeneracy and colour
-    stops of :func:`_orientation_stop`, the largest bound over the blocks B
-    with a cycle (the table value, or t(|B|) past 6 vertices), and va_f(G),
-    the covering LP over the maximal induced forests of G
-    (:func:`families._maximal_induced_forests`).  va_f is not computed past
-    the LP gate, nor when G holds a clique on ceil(2 stop) vertices, where
-    it cannot lower the stop.  The proofs are in :func:`_best_orientation`.
+def _block_bounds(G: Graph) -> tuple[int | Fraction, int | Fraction]:
+    """Bounds on the ``dichif`` of a non-forest G from its blocks with a
+    cycle: the largest upper bound over them, the ``_BLOCK_DICHIF`` value
+    or t(|B|) of :func:`_tournament_bound` past 6 vertices, and the largest
+    table value among them (1 for none), a lower bound.  The two are equal,
+    and the answer, when every block with a cycle is in the table.  The
+    proofs are in :func:`_best_orientation`.
     """
     adj = G.adj
     table = _block_table()
     known = top = 1
-    solved = True
     for B in blocks(G):
         size = B.bit_count()
         if size < 3:
             continue  # a bridge lies on no cycle
         value = table.get(_block_key(adj, B)) if size <= 6 else None
         if value is None:
-            solved = False
             value = _tournament_bound(size)
         else:
             known = max(known, value)
         top = max(top, value)
-    if solved:
-        # top is the answer, so no other bound lies below it
-        return top, top
-    k, colors = degeneracy_coloring(G)
-    stop = min(k // 2 + 1, max(colors) + 1, top)
-    if G.n <= LP_VERTEX_BUDGET and not _has_clique(adj, G.full_mask, ceil(2 * stop)):
+    return top, known
+
+
+def _fractional_stop(G: Graph, top: int | Fraction) -> int | Fraction:
+    """The value at which the ``dichif`` search of a non-forest G stops when
+    the table leaves a block unanswered, an upper bound on chi_f(D) for
+    every orientation D of G: the smallest of :func:`_orientation_stop`,
+    ``top`` of :func:`_block_bounds`, and va_f(G), the covering LP over the
+    maximal induced forests of G (:func:`families._maximal_induced_forests`).
+    va_f is not computed past the LP gate, nor when G holds a clique on
+    ceil(2 stop) vertices, where it cannot lower the stop.  The proofs are
+    in :func:`_best_orientation`.
+    """
+    stop = min(_orientation_stop(G), top)
+    if G.n <= LP_VERTEX_BUDGET and not _has_clique(G.adj, G.full_mask, ceil(2 * stop)):
         stop = min(stop, _solve_cover_lp(G.n, _maximal_induced_forests(G))[0])
-    return stop, known
+    return stop
 
 
 def _fractional_floor(G: Graph, stop: int | Fraction, known: int | Fraction) -> int | Fraction:
     """A lower bound on chi_f(D) for some orientation D of a non-forest G,
     chosen to meet ``stop``: ``known``, the largest table value over the
-    blocks of G, if it does; otherwise, when stop < 3/2, the larger of
+    blocks of G, if it does or if stop > 3/2; otherwise the larger of
     ``known`` and g / (g - 1) for the length g of a shortest cycle of G,
     found by a breadth-first search over the adjacency masks from every
-    vertex; and when stop >= 3/2, dichif(K_m) when G holds a clique on m
-    vertices, m <= 6 the smallest with dichif(K_m) >= stop, and ``known``
-    when that clique is missing or no such m exists.  The proofs are in
-    :func:`_best_orientation`.
+    vertex.  A clique of G would meet no stop that this misses: past the
+    table, a K_m of G keeps the stop above dichif(K_m) unless m = 3 and
+    the stop is 3/2.  The proofs are in :func:`_best_orientation`.
     """
-    if known >= stop:
+    if known >= stop or stop > Fraction(3, 2):
         return known
     adj = G.adj
-    if stop >= Fraction(3, 2):
-        table = _block_table()
-        for m in range(3, 7):
-            full = (1 << m) - 1
-            value = table.get(_block_key([full ^ (1 << v) for v in range(m)], full), 0)
-            if value >= stop:
-                return value if _has_clique(adj, G.full_mask, m) else known
-        return known
     # the breadth-first layers from a root close a cycle of at most 2 d + 1
     # edges when two vertices of layer d are adjacent, and of at most
     # 2 d + 2 when two of them share a neighbour in no earlier layer: the
@@ -758,59 +744,70 @@ def _best_orientation(
     directed cycle only if one block's class does.  Adding an arc between
     every non-adjacent pair of B turns D[B] into a tournament T, and adding
     arcs only removes acyclic sets, so chi(D[B]) <= chi(T) <= dichi(K_|B|),
-    the largest chi over the tournaments on |B| vertices.  That is read
-    from ``_COMPLETE_DICHI`` for |B| <= 6, which gives 2 for K6, and bounded
-    by t(|B|) of :func:`_tournament_bound` above; t(7) = t(8) = 3 are the
-    dichromatic numbers of K7 and K8.
+    the largest chi over the tournaments on |B| vertices.  That is at most
+    2 for |B| <= 6, since the smallest tournament that two acyclic sets do
+    not cover has 7 vertices (Neumann-Lara 1994; a test recomputes it with
+    the search).  A larger block is bounded by t(|B|) of
+    :func:`_tournament_bound`, and t(7) = t(8) = 3 are the dichromatic
+    numbers of K7 and K8.
 
-    Fractional values (``dichif``) stop at :func:`_fractional_stop`, with
-    the same witness argument.  chi_f(D) is the largest chi_f(D[B]) over
-    the blocks B.  It is at most that largest value x.  Lay an optimal
-    fractional cover of each D[B] out on [0, x) as acyclic sets A_B(s): its
-    sets on intervals as long as their weights, then empty sets.  Trim each
-    so that every vertex of B lies in A_B(s) for s in a set of length
-    exactly 1; subsets of acyclic sets are acyclic.  Add the blocks along
-    the block-cut tree, each meeting the union H of the ones placed before
-    in one cut vertex c: move B's intervals around [0, x), cutting them
-    where needed but never stretching them, so that c lies in A_B(s)
-    exactly where it lies in the sets placed for H; both are sets of length
-    1.  At each s the union of all A_B(s) is then acyclic, since a directed
-    cycle lies in one block B, where the other sets add at most a cut
-    vertex that A_B(s) already holds.  So D has a fractional cover of
-    weight x.  It is at least x, since restricting a fractional cover of D
-    to a set Q gives one of D[Q] (a subset of an acyclic set is acyclic),
-    and a block is an induced subgraph.  Distinct blocks share no edge, so
-    their orientations are independent, and the largest chi_f(D) is the
-    largest dichif(G[B]).  ``_BLOCK_DICHIF`` holds that for every block
-    with a cycle on at most 6 vertices, and a bridge gives 1.  A larger
-    block is bounded by t(|B|) as above, since chi_f(D[B]) <= chi(D[B]).
-    The degeneracy and colour stops hold, since chi_f(D) <= chi(D).  And a
-    set inducing a forest of G holds no cycle of G, so it is acyclic in
-    every D, and chi_f(D) <= va_f(G), the covering LP over the maximal
-    induced forests of G.  A clique Q of G meets an induced forest in at
-    most 2 vertices, so a cover by induced forests weighs at least |Q| / 2.
-    With s the smaller of the other bounds, a clique on ceil(2 s) vertices
-    gives va_f(G) >= s, so the LP is skipped when G holds one.
+    Fractional values (``dichif``) stop at the ``top`` bound of
+    :func:`_block_bounds` when every block with a cycle is in the table, and
+    at :func:`_fractional_stop` otherwise, with the same witness argument.
+    chi_f(D) is the largest chi_f(D[B]) over the blocks B.  It is at most
+    that largest value x.  Lay an optimal fractional cover of each D[B] out
+    on [0, x) as acyclic sets A_B(s): its sets on intervals as long as their
+    weights, then empty sets.  Trim each so that every vertex of B lies in
+    A_B(s) for s in a set of length exactly 1; subsets of acyclic sets are
+    acyclic.  Add the blocks along the block-cut tree, each meeting the
+    union H of the ones placed before in one cut vertex c: move B's
+    intervals around [0, x), cutting them where needed but never stretching
+    them, so that c lies in A_B(s) exactly where it lies in the sets placed
+    for H; both are sets of length 1.  At each s the union of all A_B(s) is
+    then acyclic, since a directed cycle lies in one block B, where the
+    other sets add at most a cut vertex that A_B(s) already holds.  So D has
+    a fractional cover of weight x.  It is at least x, since restricting a
+    fractional cover of D to a set Q gives one of D[Q] (a subset of an
+    acyclic set is acyclic), and a block is an induced subgraph.  Distinct
+    blocks share no edge, so their orientations are independent, and the
+    largest chi_f(D) is the largest dichif(G[B]).  ``_BLOCK_DICHIF`` holds
+    that for every block with a cycle on at most 6 vertices, and a bridge
+    gives 1.  A larger block is bounded by t(|B|) as above, since
+    chi_f(D[B]) <= chi(D[B]).  Every bound of :func:`_orientation_stop`
+    holds, since chi_f(D) <= chi(D).  And a set inducing a forest of G holds
+    no cycle of G, so it is acyclic in every D, and chi_f(D) <= va_f(G), the
+    covering LP over the maximal induced forests of G.  A clique Q of G
+    meets an induced forest in at most 2 vertices, so a cover by induced
+    forests weighs at least |Q| / 2.  With s the smaller of the other
+    bounds, a clique on ceil(2 s) vertices gives va_f(G) >= s, so the LP is
+    skipped when G holds one.
 
-    An exact fractional search (``trials`` None) then compares the stop
-    with :func:`_fractional_floor`, a lower bound on the largest chi_f(D),
-    and when that bound meets the stop it returns the stop with None for
-    the witness: no orientation, family or LP is evaluated.  The bound is
-    chi_f(D[Q]) <= chi_f(D) for a set Q and an orientation of G[Q] extended
-    to some D: a block in the table, oriented to attain its value, or a
-    clique on m <= 6 vertices, oriented to attain dichif(K_m).  When every
-    block is in the table, the largest table value is both the stop and
-    the bound.  A shortest cycle C of G, of length g, has no chord, since a
-    chord would close a shorter cycle, so orienting C as a directed cycle
-    makes D[V(C)] the directed g-cycle.
+    An exact fractional search (``trials`` None) returns a stop that a
+    lower bound on the largest chi_f(D) meets, with None for the witness:
+    no orientation, family or LP is evaluated.  A lower bound of at least
+    the stop is the stop itself, and the answer.  The bound is chi_f(D[Q])
+    <= chi_f(D) for a set Q and an orientation of G[Q] extended to some
+    D.  A block in the table, oriented to attain its value, gives the
+    largest table value: when every block with a cycle is in the table,
+    that is both the stop and the bound, and it is returned before the
+    edge gate, which only an evaluated orientation needs.  Otherwise the
+    stop is compared with :func:`_fractional_floor`.  A shortest cycle C of G,
+    of length g, has no chord, since a chord would close a shorter cycle,
+    so orienting C as a directed cycle makes D[V(C)] the directed g-cycle.
     Its acyclic sets are the proper subsets of V(C): the g sets missing one
     vertex each, weighted 1 / (g - 1), cover every vertex, and the weight
     1 / (g - 1) on each vertex puts at most 1 on every acyclic set, so both
-    LP sides give chi_f = g / (g - 1).  A lower bound of at least the stop
-    is the stop itself, and the answer.  Sampled searches never take this
-    path: their answer is the best sampled value, which may lie below it.
-    The shortest cycle is only looked for when the stop is below 3/2,
-    since g / (g - 1) <= 3/2, with equality only for a triangle, a clique.
+    LP sides give chi_f = g / (g - 1).  That is at most 3/2, so the
+    shortest cycle is only looked for when the stop is at most 3/2.  A
+    clique K_m of G, 3 <= m <= 6, oriented to attain dichif(K_m) (3/2,
+    3/2, 7/4, 2), adds nothing: past the table some block has 7 or more
+    vertices, and the K_m gives a degeneracy stop of at least
+    floor((m - 1) / 2) + 1, at least m colours, a block bound of at least
+    t(7) = 3 and va_f(G) >= m / 2, so the stop is at least 3/2 for K3, 2
+    for K4, 5/2 for K5 and 3 for K6.  Only a triangle meets a stop, of
+    3/2, and a triangle is a shortest cycle with g / (g - 1) = 3/2.
+    Sampled searches never take this path: their answer is the best
+    sampled value, which may lie below the stop.
 
     With integer values (``integer``, the ``dichi`` searches) and a stop
     of 2, an orientation is returned as the witness with value 2 without
@@ -896,6 +893,13 @@ def _best_orientation(
         return 0, Digraph(G, 0)
     if is_forest(G):
         return 1, Digraph(G, 0)
+    if not integer:
+        bound, known = _block_bounds(G)
+        if trials is None and known >= bound:
+            # the table answers every block with a cycle, so no orientation
+            # is evaluated and the edge gate below, which counts them, does
+            # not apply
+            return bound, None
     if trials is None:
         m = len(G.edges)
         # the walk visits the 2^(e-1) codes below the top bit, the count the
@@ -919,8 +923,8 @@ def _best_orientation(
     collect = trials is None
     if integer:
         bound = _orientation_stop(G)
-    else:
-        bound, known = _fractional_stop(G)
+    elif known < bound:
+        bound = _fractional_stop(G, bound)
         if trials is None and _fractional_floor(G, bound, known) >= bound:
             # some orientation has value at least the stop, which none exceeds
             return bound, None
@@ -1094,14 +1098,16 @@ def fractional_dichromatic(
     orientations and returns a certified lower bound.  The LP value depends
     only on the family of maximal acyclic sets, and many orientations share
     one, so each distinct family is solved once; the positive-weight sets of
-    its optimal cover are what the search pools.  The search stops at
-    :func:`_fractional_stop`, an upper bound over every orientation.
+    its optimal cover are what the search pools.  The search stops at an
+    upper bound over every orientation, from :func:`_block_bounds` and
+    :func:`_fractional_stop`.
     Without ``trials`` the stop is the answer, and no orientation is
-    evaluated, when :func:`_fractional_floor` meets it, as it does when
-    every block has at most 6 vertices: the answer is then the largest
-    ``_BLOCK_DICHIF`` value over the blocks.  Only an evaluated orientation
-    needs an LP, so the 20-vertex LP gate then refuses nothing: C4 plus 17
-    isolated vertices gives 4/3.
+    evaluated, when a lower bound meets it: when every block has at most 6
+    vertices, the answer is the largest ``_BLOCK_DICHIF`` value over the
+    blocks, and otherwise :func:`_fractional_floor` may meet the stop.  Only
+    an evaluated orientation needs an LP or passes the edge gate, so neither
+    gate then refuses anything: C4 plus 17 isolated vertices gives 4/3, and
+    three K5s at one vertex (30 edges) give 7/4.
     """
     covers: dict[tuple[int, ...], tuple[Fraction, list[int]]] = {}
 

@@ -28,6 +28,9 @@ codes the pruned depth-first search must yield.
 ``per_candidate_max_acyclic_weight`` are the include/exclude searches with
 one extension test per candidate at each include step, whose sets, order,
 values and cap refusals the reachability closures must keep.
+``clique_fractional_floor`` is the ``dichif`` lower bound that read
+dichif(K_m) for a clique K_m of the graph, whose decisions the girth floor
+must keep.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from itertools import combinations, permutations, product
 from math import comb, lcm
 from typing import Iterator
 
+from dicolor.coloring import _fractional_floor, _has_clique
 from dicolor.errors import BudgetExceededError, DicolorError, InputError
 from dicolor.families import COLUMN_CAP, _extends, _joins_forest, maximal_independent_sets
 from dicolor.graphs import Digraph, Graph, is_acyclic, iter_bits, mask_of
@@ -756,3 +760,23 @@ def per_candidate_max_acyclic_weight(
         stack.append((A, w_A, cand ^ low, w_cand - w[u]))
         stack.append((with_u, w_A + w[u], sum(1 << v for v in kept), sum(w[v] for v in kept)))
     return Fraction(best, L)
+
+
+# dichif(K_m) for 3 <= m <= 6, the entries of the block table for K_m
+COMPLETE_DICHIF = {3: Fraction(3, 2), 4: Fraction(3, 2), 5: Fraction(7, 4), 6: Fraction(2)}
+
+
+def clique_fractional_floor(G: Graph, stop, known):
+    """The lower bound on the largest chi_f(D) that ``_fractional_floor``
+    used to be: ``known`` if it meets ``stop``; when stop >= 3/2,
+    dichif(K_m) when G holds a clique on m vertices, m <= 6 the smallest
+    with dichif(K_m) >= stop, and ``known`` when that clique is missing or
+    no such m exists; below 3/2 the girth bound, which is unchanged."""
+    if known >= stop:
+        return known
+    if stop < Fraction(3, 2):
+        return _fractional_floor(G, stop, known)
+    for m, value in COMPLETE_DICHIF.items():
+        if value >= stop:
+            return value if _has_clique(G.adj, G.full_mask, m) else known
+    return known

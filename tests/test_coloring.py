@@ -52,6 +52,7 @@ from oracles import (
     brute_digraph_chromatic,
     brute_maximal_acyclic_sets,
     brute_tournament_dichromatic,
+    clique_fractional_floor,
     dfs_has_cycle,
     digraph_fractional_bruteforce,
     fraction_check_certificate,
@@ -503,7 +504,15 @@ def _without_stops(monkeypatch):
     # a stop above every value: the searches walk every code they keep
     _without_table(monkeypatch)
     monkeypatch.setattr(coloring, "_orientation_stop", lambda G: G.n + 1)
-    monkeypatch.setattr(coloring, "_fractional_stop", lambda G: (G.n + 1, 1))
+    monkeypatch.setattr(coloring, "_fractional_stop", lambda G, top: G.n + 1)
+
+
+def _stop_and_known(G):
+    # the dichif stop of a non-forest G and the largest table value over its
+    # blocks, as _best_orientation computes them: the stop is the table
+    # answer when that is known, and _fractional_stop otherwise
+    top, known = coloring._block_bounds(G)
+    return (top if known >= top else coloring._fractional_stop(G, top)), known
 
 
 def _without_fractional_floor(monkeypatch):
@@ -518,16 +527,14 @@ def _has_small_blocks(G):
 
 
 def test_complete_graph_tables_are_what_the_search_computes(monkeypatch):
-    # dichi(K_m) for m <= 6, recomputed with the stops off, since a stop read
-    # from a wrong table would return that table's value; the dichif(K_m)
-    # rows of the block table are recomputed with the rest of it below
+    # dichi(K_m) = 2 for 3 <= m <= 6, the block stop of a block of at most 6
+    # vertices, recomputed with the stops off, since that stop would return
+    # 2 whatever the search finds; the dichif(K_m) rows of the block table
+    # are recomputed with the rest of it below
     keys = [coloring._block_key(complete_graph(m).adj, (1 << m) - 1) for m in range(3, 7)]
-    assert [coloring._block_table()[key] for key in keys] == [
-        Fraction(3, 2), Fraction(3, 2), Fraction(7, 4), 2]
+    assert [coloring._block_table()[key] for key in keys] == list(oracles.COMPLETE_DICHIF.values())
     _without_stops(monkeypatch)
-    for m in range(1, 7):
-        assert dichromatic_number_exact(complete_graph(m))[0] == coloring._COMPLETE_DICHI[m]
-    assert coloring._COMPLETE_DICHI[1:] == (1, 1, 2, 2, 2, 2)
+    assert [dichromatic_number_exact(complete_graph(m))[0] for m in range(3, 7)] == [2] * 4
 
 
 def _atlas_blocks():
@@ -631,9 +638,9 @@ def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkey
     # it, va_f is computed on every graph, also where the clique test skips
     # it, and must then be at least the stop
     graphs = _stop_graphs()
-    stops = [coloring._fractional_stop(G)[0] for G in graphs]
+    stops = [_stop_and_known(G)[0] for G in graphs]
     _without_table(monkeypatch)
-    bare_stops = [coloring._fractional_stop(G)[0] for G in graphs]
+    bare_stops = [_stop_and_known(G)[0] for G in graphs]
     _without_stops(monkeypatch)
     families = {}
     skipped = brute = reached = lowered = small = 0
@@ -645,7 +652,8 @@ def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkey
             assert stop == value
         k, colors = degeneracy_coloring(G)
         cyclic = [B.bit_count() for B in blocks(G) if B.bit_count() > 2]
-        block_stop = min(k // 2 + 1, max(colors) + 1, max(map(coloring._tournament_bound, cyclic)))
+        block_stop = min(k // 2 + 1, max(colors) + 1,
+                         max(2 if s <= 6 else coloring._tournament_bound(s) for s in cyclic))
         forests = _forest_cover_value(G)
         if coloring._has_clique(G.adj, G.full_mask, ceil(2 * block_stop)):
             skipped += 1
@@ -665,9 +673,9 @@ def test_fractional_stop_is_never_below_the_fractional_dichromatic_number(monkey
             assert best == value
     assert graphs[0] == K5 and stops[0] == Fraction(7, 4)
     # the table answers 267 of them; without it the stop is the answer on
-    # 240, the clique test skips va_f on 28, and va_f lowers the stop on 272
+    # 240, the clique test skips va_f on 29, and va_f lowers the stop on 270
     assert small >= 267 and brute >= 97 and reached >= 240
-    assert skipped >= 28 and lowered >= 272
+    assert skipped >= 29 and lowered >= 270
 
 
 def test_fractional_floor_is_never_above_the_fractional_dichromatic_number(monkeypatch):
@@ -679,11 +687,11 @@ def test_fractional_floor_is_never_above_the_fractional_dichromatic_number(monke
     graphs = _stop_graphs()
     floors = []
     for G in graphs:
-        stop, known = coloring._fractional_stop(G)
+        stop, known = _stop_and_known(G)
         floors.append((G, coloring._fractional_floor(G, stop, known), stop))
     _without_table(monkeypatch)
     for G in _exhausting_dichif_graphs():
-        stop, known = coloring._fractional_stop(G)
+        stop, known = _stop_and_known(G)
         floors.append((G, coloring._fractional_floor(G, stop, known), stop))
     _without_stops(monkeypatch)
     met = []
@@ -710,6 +718,33 @@ def test_fractional_floor_finds_the_shortest_cycle():
     for G in graphs:
         g = nx.girth(nx.Graph(list(G.edges)))
         assert coloring._fractional_floor(G, Fraction(1), 0) == Fraction(g, g - 1)
+
+
+def test_girth_floor_decides_as_the_clique_floor():
+    # the lower bound meets the stop exactly where the clique floor it
+    # replaced did, on the stop graphs and on 200 seeded graphs with a block
+    # of at least 7 vertices, n <= 26 and n <= m <= 2n.  The table answers
+    # the rest, so some block has 7 or more vertices, and a K_m of G gives a
+    # degeneracy stop of at least floor((m - 1) / 2) + 1, m colours, a block
+    # bound of at least t(7) = 3 and va_f >= m / 2: only the triangle at a
+    # stop of 3/2 met it, and the girth bound finds that triangle.  The
+    # floor meets the stop on 332 of the 500, on 59 by the girth bound
+    rng = random.Random(7)
+    graphs = _stop_graphs()
+    while len(graphs) < 500:
+        n = rng.randint(7, 26)
+        pairs = list(combinations(range(n), 2))
+        G = Graph(n, sorted(rng.sample(pairs, rng.randint(n, min(2 * n, len(pairs))))))
+        if max(map(int.bit_count, blocks(G))) >= 7:
+            graphs.append(G)
+    met = by_girth = 0
+    for G in graphs:
+        stop, known = _stop_and_known(G)
+        floor = coloring._fractional_floor(G, stop, known)
+        assert (floor >= stop) == (clique_fractional_floor(G, stop, known) >= stop)
+        met += floor >= stop
+        by_girth += known < stop <= floor
+    assert met >= 332 and by_girth >= 59
 
 
 def test_sampled_dichif_is_not_ended_by_the_lower_bound():
@@ -887,7 +922,7 @@ def test_cached_pool_verdicts_keep_every_pool_decision(monkeypatch):
 
     fewer = 0
     for seed, G in enumerate(_pool_graphs() + _exhausting_dichif_graphs()):
-        stops = {True: coloring._orientation_stop(G), False: coloring._fractional_stop(G)[0]}
+        stops = {True: coloring._orientation_stop(G), False: _stop_and_known(G)[0]}
         for trials, digraphs in ((None, _lower_codes(G)), (300, _samples(G, 300, seed))):
             for value, integer in ((coloring._acyclic_cover, True), (lp_cover, False)):
                 evaluated = []
@@ -1018,7 +1053,7 @@ def test_orderly_orientations_are_the_orbit_minimal_codes():
     # the pruned depth-first search yields exactly the lower-half codes that
     # no given automorphism maps lower, tested code by code on the vertex
     # permutations behind the actions: with every collected action and with
-    # the first half of them, given from the start or sent after some code,
+    # the first half of them, sent after code 0 or after some later code,
     # when every code up to that one comes first
     nontrivial = 0
     for G in _orderly_graphs():
@@ -1030,7 +1065,10 @@ def test_orderly_orientations_are_the_orbit_minimal_codes():
         for chosen in (maps, maps[:len(maps) // 2]):
             perms = [by_action[_action_key(G, lambda c, a=a: _act(a, c))] for a, _ in chosen]
             expected = orbit_minimal_codes(G, perms)
-            got = list(coloring._orderly_orientations(G, chosen))
+            digraphs = coloring._orderly_orientations(G)
+            got = [next(digraphs)]
+            assert digraphs.send(chosen) is None
+            got += digraphs
             assert [D.bits for D in got] == expected
             # each digraph carries the in-masks of its code
             assert all(D.in_masks == Digraph(G, D.bits).in_masks for D in got)
@@ -1363,6 +1401,14 @@ def test_orientation_search_edges_agree():
         gates.append((exc.value.what, exc.value.needed, exc.value.limit))
     assert gates[0] == gates[1]
     assert {gate[1:] for gate in gates} == {(2**21, 2**20)}
+    # the dichif table answers three K5s at one vertex (30 edges) before the
+    # gate, since no orientation is evaluated; exact dichi is still refused
+    three_k5 = Graph(13, sorted({tuple(sorted(e)) for base in (0, 4, 8)
+                                 for e in combinations([0] + [base + i for i in range(1, 5)], 2)}))
+    assert fractional_dichromatic(three_k5) == Fraction(7, 4)
+    with pytest.raises(BudgetExceededError) as exc:
+        dichromatic_number_exact(three_k5)
+    assert (exc.value.what, exc.value.needed, exc.value.limit) == (gates[0][0], 2**29, 2**20)
     # past the 24-vertex budget of the digraph-chromatic search a non-forest
     # is still refused when sampled
     with pytest.raises(BudgetExceededError) as exc:
