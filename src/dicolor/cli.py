@@ -41,19 +41,26 @@ EXIT_INPUT = 3
 # 0.9 KB, against 3.2 KB with indent=2, which matters to callers that keep
 # many of them
 _COMPACT = (",", ":")
+# one encoder for every line: json.dumps with options builds a new one per call
+_ENCODER = json.JSONEncoder(separators=_COMPACT, allow_nan=False)
+# the values _ser returns as they are
+_PLAIN = frozenset({int, str, bool, type(None)})
 
 
 def _ser(value):
     """JSON-friendly rendering; Fractions become 'p/q' strings and
     non-finite floats 'inf', '-inf' or 'nan', which strict JSON lacks."""
+    if type(value) in _PLAIN:
+        return value
+    # containers before Fraction, whose isinstance goes through ABCMeta
+    if isinstance(value, (list, tuple)):
+        return [_ser(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _ser(v) for k, v in value.items()}
     if isinstance(value, Fraction):
         return format_fraction(value)
     if isinstance(value, float):
         return value if math.isfinite(value) else str(value)
-    if isinstance(value, dict):
-        return {k: _ser(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_ser(v) for v in value]
     return value
 
 
@@ -115,7 +122,27 @@ def _parser() -> argparse.ArgumentParser:
     ve = add("verify", "run the acceptance suite")
     ve.add_argument("--suite", choices=["all", "core", "sparse", "orient", "kneser"], default="all")
     ve.add_argument("--out", default=None, help="write the CSV table to this path")
+    p.commands = sub.choices  # the subcommand parsers by name, for _parse_args
     return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace, error or exit of ``_parser().parse_args(argv)``.
+
+    A known subcommand's arguments go to its own parser alone: the top
+    parser hands them all to that parser anyway, after scanning them itself
+    first.  Arguments the subcommand does not know raise the top parser's
+    "unrecognized arguments" error, as before; an argv that does not start
+    with a subcommand, top-level help included, goes to the top parser."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _load_graph(path: str) -> tuple[Graph, Weighting | None]:
@@ -340,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     started = time.perf_counter()
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be nonnegative, got {args.budget}")
         if args.command == "compute":
@@ -384,13 +411,13 @@ def main(argv: list[str] | None = None) -> int:
             "verdicts": _ser(body.get("verdicts", {})),
             "timings": {"seconds": round(time.perf_counter() - started, 6)},
         }
-        print(json.dumps(report, separators=_COMPACT, allow_nan=False))
+        print(_ENCODER.encode(report))
     return code
 
 
 def _emit_error(kind: str, message: str, extra: dict) -> None:
     payload = {"error": {"kind": kind, "message": message, **extra}}
-    print(json.dumps(payload, separators=_COMPACT, allow_nan=False), file=sys.stderr)
+    print(_ENCODER.encode(payload), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -186,6 +186,10 @@ def kneser_blowup_embedding(
     images_needed = _comb_capped(n, k, cap) * max(power, 1)
     if images_needed > vertex_budget:
         raise BudgetExceededError("blow-up embedding", images_needed, vertex_budget)
+    # each vertex set lists its k t cells, and each image holds k t - x of
+    # them: t = 10^30 passed the image gate (power 1 at x = 0) and never ended
+    if n * t > vertex_budget:
+        raise BudgetExceededError("blow-up embedding host ground set", n * t, vertex_budget)
     size = k * t - x
     images: list[tuple[int, ...]] = []
     for X in kneser_vertex_sets(n, k):

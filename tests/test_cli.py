@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dicolor
-from dicolor.cli import _parser, _ser, main
-from dicolor.errors import BudgetExceededError, GraphFormatError, format_count
+from dicolor.cli import _parse_args, _parser, _ser, main
+from dicolor.errors import BudgetExceededError, GraphFormatError, InputError, format_count
 from dicolor.io import (
     build_digraph,
     build_graph,
     format_fraction,
     graph_to_dict,
+    load_graph_file,
     parse_fraction,
     parse_graph_text,
 )
@@ -369,8 +370,23 @@ def _graph_file_bodies(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _raw_graph_file_bodies(draw):
+    """A body as bytes, with \\r\\n or \\r line ends, a UTF-8 byte-order mark
+    in front, or bytes that are not UTF-8 put in somewhere."""
+    data = draw(_graph_file_bodies()).encode("utf-8")
+    data = data.replace(b"\n", draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(body=_graph_file_bodies(),
+@given(body=st.one_of(_graph_file_bodies(), _raw_graph_file_bodies()),
        argv=st.sampled_from([["compute", "chi"], ["compute", "dichif"], ["compute", "digraph-chi"],
                              ["certificate", "--t", "1", "--d", "1"]]))
 @example(body='{"n": 2, "edges": %s}' % DEEP, argv=["compute", "chi"])
@@ -378,14 +394,27 @@ def _graph_file_bodies(draw):
 @example(body='{"n": 1, "edges": [], "weights": ["1e99999999"]}', argv=["compute", "chi"])
 @example(body='{"n": 1, "edges": [], "weights": ["1e-99999999"]}',
          argv=["certificate", "--t", "1", "--d", "1"])
+@example(body=b'{"n": 1, "edges": [], "labels": ["\xff\xfe"]}', argv=["compute", "chi"])
+@example(body=b'\xef\xbb\xbf{"n": 1, "edges": []}', argv=["compute", "chi"])
+@example(body=b'{"n": 2,\r\n "edges": [[0, 1]],\r\n "labels": x}', argv=["compute", "chi"])
+@example(body=b"2 1\r0 1\r", argv=["compute", "digraph-chi"])
+@example(body=None, argv=["compute", "chi"])
+@example(body=None, argv=["certificate", "--t", "1", "--d", "1"])
 def test_adversarial_graph_files_end_in_one_json_line(tmp_path_factory, body, argv):
     # whatever the file holds, cli.main returns an exit code and prints one
     # strict JSON line, a report or an error, and no exception escapes it.
     # A weight of 1e99999999 or 1e-99999999 built 10^99999999 and ran past
-    # 20 s; it is refused by its digits
-    path = str(tmp_path_factory.getbasetemp() / "adversarial.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
+    # 20 s; it is refused by its digits. A body of bytes is written as it is;
+    # bytes that are not UTF-8 (UnicodeDecodeError) and a directory in place
+    # of the file (body None, IsADirectoryError) ended in a traceback
+    path = tmp_path_factory.getbasetemp() / "adversarial.json"
+    if body is None:
+        path = path.parent
+    elif isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body, encoding="utf-8")
+    path = str(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv[:2] + [path] + argv[2:])
@@ -393,6 +422,33 @@ def test_adversarial_graph_files_end_in_one_json_line(tmp_path_factory, body, ar
     lines = (out.getvalue() + err.getvalue()).splitlines()
     assert len(lines) == 1
     json.loads(lines[0], parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(body=_raw_graph_file_bodies())
+@example(body=b'{"n": 2,\r\n "edges": [[0, 1]],\r "labels": x}')
+@example(body=b'{"n": 1,\r\n "edges": [], "labels": ["a\r\nb"]}')
+@example(body=b"2 1\r\n0 1\r\n# note\r\n1 2 3\r")
+def test_graph_files_read_as_a_text_mode_read_would(tmp_path_factory, body):
+    # load_graph_file reads bytes and decodes them; a text-mode read, which
+    # it replaced, made \\r\\n and \\r into \\n, so the same data, error
+    # messages and line and column numbers must come back. Bytes that are
+    # not UTF-8 are a format error instead of a UnicodeDecodeError
+    path = tmp_path_factory.getbasetemp() / "raw.json"
+    path.write_bytes(body)
+
+    def outcome(read):
+        try:
+            return None, read()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: parse_graph_text(path.read_text(encoding="utf-8")))
+    got = outcome(lambda: load_graph_file(str(path)))
+    if want[0] is UnicodeDecodeError:
+        assert got[0] is GraphFormatError and got[1].startswith("graph file is not UTF-8: ")
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("command", ["certify", "certificate"])
@@ -598,6 +654,125 @@ def test_parser_is_built_lazily_once_and_keeps_no_state(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certificate", k3)
     assert code == 3 and "needs --t and --d" in json.loads(err)["error"]["message"]
     assert _parser() is parser
+
+
+# argv for the parser oracle: every subcommand with and without options,
+# help, the cases the top parser keeps, and malformed command lines
+_ARGV_CORPUS = [
+    ["compute", "chi", "g.json"],
+    ["compute", "dichi", "g.json", "--mode", "mc", "--trials", "5", "--seed", "9", "--budget", "30"],
+    ["compute", "dichif", "g.json", "--mode=mc", "--trials=7"],
+    ["compute", "digraph-chif", "g.json", "--se", "3", "--bud", "4"],
+    ["compute", "--seed", "2", "alphaf", "g.json"],
+    ["certify", "g.json", "--t", "3/2", "--d", "31/4"],
+    ["certify", "g.json", "--t", "1", "--d", "2", "--max-tries", "3", "--seed", "4", "--budget", "5"],
+    ["certificate", "g.json"],
+    ["certificate", "g.json", "--strict", "--max-tries", "2"],
+    ["certificate", "g.json", "--t", "9/2", "--d", "2"],
+    ["construct", "kneser", "5", "2"],
+    ["construct", "complete", "-3"],
+    ["construct", "blowup", "g.json", "2", "--out", "o.json"],
+    ["construct", "embed", "5", "2", "2", "1", "--case", "x<t", "--budget", "40"],
+    ["bounds", "union-bound", "3/2", "10"],
+    ["bounds", "binom", "3", "4"],
+    ["verify"],
+    ["verify", "--suite", "core", "--out", "x.csv", "--seed", "1"],
+    *([name, flag] for name in ("compute", "certify", "certificate", "construct", "bounds",
+                                "verify") for flag in ("-h", "--help")),
+    ["compute", "chi", "g.json", "-h"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["nosuch"],
+    ["Compute", "chi", "g.json"],
+    ["comp", "chi", "g.json"],
+    ["--seed", "1", "compute", "chi", "g.json"],
+    ["--", "compute", "chi", "g.json"],
+    ["-x"],
+    ["compute", "--", "chi", "g.json"],
+    ["compute", "chi", "--", "g.json"],
+    ["compute", "chi", "g.json", "--", "--seed", "1"],
+    ["compute", "chi", "g.json", "--"],
+    ["compute", "chi", "g.json", "--threads", "2"],
+    ["compute", "chi", "g.json", "-x", "extra", "more"],
+    ["compute", "chi", "g.json", "extra"],
+    ["compute", "chi", "g.json", "--seed"],
+    ["compute", "chi", "g.json", "--seed", "abc"],
+    ["compute", "chi", "g.json", "--budget", "1.5"],
+    ["compute", "chi", "g.json", "--trials", "-1"],
+    ["compute", "chi", "g.json", "--mode", "fast"],
+    ["compute", "chi"],
+    ["compute", "nosuch", "g.json"],
+    ["compute"],
+    ["certify", "g.json", "--t", "1"],
+    ["certify", "g.json", "--t", "-1/2", "--d", "1"],
+    ["certify", "g.json", "--t", "1", "--d", "1", "--max-tries", "x"],
+    ["certify"],
+    ["certificate", "g.json", "--strict", "yes"],
+    ["construct", "nosuch"],
+    ["construct"],
+    ["bounds"],
+    ["bounds", "nosuch", "1"],
+    ["verify", "--suite", "nosuch"],
+    ["verify", "extra"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = "args", vars(parse(list(argv)))
+    except InputError as exc:
+        outcome = "error", str(exc)
+    except SystemExit as exc:
+        outcome = "exit", exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS)
+def test_direct_dispatch_parses_as_the_top_parser(capsys, argv):
+    # main hands a known subcommand's arguments to that subcommand's parser
+    # alone; the namespace, the usage error, the exit code and the help text
+    # must be those of the one top-level parse it replaced
+    assert _parse_outcome(_parse_args, argv, capsys) == \
+        _parse_outcome(_parser().parse_args, argv, capsys)
+
+
+_HUGE = "1" + "0" * 30
+_TOO_LONG = "1" + "0" * 5000  # past Python's 4,300-digit limit for int()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["certify", "K4", flag, value, *rest]
+      for flag, rest in (("--t", ["--d", "1"]), ("--d", ["--t", "3"]))
+      for value in (_HUGE, "-5", "-1/2", "x", "1e99999999")),
+    ["certificate", "K4", "--t", _HUGE, "--d", "1"],
+    ["certificate", "K4", "--t", "3/2", "--d", _HUGE],
+    *(argv + [flag, value]
+      for argv, flag in ((["compute", "chi", "K4"], "--budget"),
+                         (["compute", "dichi", "K4"], "--budget"),
+                         (["compute", "dichif", "K4", "--mode", "mc"], "--trials"),
+                         (["compute", "dichi", "K4", "--mode", "mc"], "--trials"),
+                         (["certify", "K4", "--t", "3", "--d", "1"], "--max-tries"),
+                         (["certificate", "K4", "--strict"], "--max-tries"))
+      for value in (_HUGE, _TOO_LONG, "-5", "x")),
+    *(["construct", what, *(value if a == "N" else a for a in args)]
+      for what, args in (("kneser", ["N", "2"]), ("kneser", ["5", "N"]), ("complete", ["N"]),
+                         ("embed", ["N", "2", "1", "0"]), ("embed", ["5", "N", "1", "0"]),
+                         ("embed", ["5", "2", "N", "0"]), ("embed", ["5", "2", "1", "N"]))
+      for value in (_HUGE, "-5", "x")),
+])
+def test_subcommand_arguments_end_in_one_json_line(tmp_path, argv):
+    # huge, too long, negative and malformed integers and rationals in every
+    # option and construct argument end in bounded time with one strict JSON
+    # line. construct embed 5 2 10^30 0 passed the image gate (power 1) and
+    # listed cells until it filled the 2 GB limit, about 45 s, and exited 2
+    # as out of memory; each of these runs takes well under a second
+    k4 = write(tmp_path, "k4.json", json.dumps(graph_to_dict(complete_graph(4))))
+    done = run_cli_process(*[k4 if a == "K4" else a for a in argv], timeout=10)
+    assert done.returncode in (0, 1, 2, 3), done.stderr
+    lines = (done.stdout + done.stderr).splitlines()
+    assert len(lines) == 1, done.stdout + done.stderr
+    strict_json(lines[0])
 
 
 def test_reports_and_errors_are_one_json_line(tmp_path, capsys):
