@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 property/certification failure, 2 budget
 exceeded (running out of memory included), 3 invalid input (usage errors
 included).  Identical invocations with the same seed reproduce identical
 result fields; only timings vary.
+
+Importing this module loads only the front end (``errors``, ``io`` and
+what ``io`` reads with); each subcommand imports the library modules it
+calls, so ``compute`` never loads ``certify`` or ``constructions``.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import coloring, constructions, certify
 from .errors import (
     BudgetExceededError,
     DicolorError,
@@ -29,9 +34,11 @@ from .errors import (
     TriesExhaustedError,
     format_count,
 )
-from .graphs import Graph, bit_list, complete_graph
 from .io import build_digraph, build_graph, format_fraction, graph_to_dict, load_graph_file, parse_fraction
-from .sparse import Weighting, ranked_order
+
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .sparse import Weighting
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -45,6 +52,11 @@ _COMPACT = (",", ":")
 _ENCODER = json.JSONEncoder(separators=_COMPACT, allow_nan=False)
 # the values _ser returns as they are
 _PLAIN = frozenset({int, str, bool, type(None)})
+# an argument that starts like a negative number is a value, not an option:
+# argparse's own pattern takes only -5 and -.5, so "--t -1/2" failed with
+# "expected one argument" and "bounds union-bound -1/2" with "unrecognized
+# arguments" instead of reaching the library's message for the value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _ser(value):
@@ -65,7 +77,12 @@ def _ser(value):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as invalid input instead of exiting with 2."""
+    """Reports usage errors as invalid input instead of exiting with 2, and
+    reads a negative rational such as -1/2 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
@@ -150,6 +167,8 @@ def _load_graph(path: str) -> tuple[Graph, Weighting | None]:
 
 
 def _run_compute(args) -> tuple[dict, int]:
+    from . import coloring
+
     results: dict = {}
     verdicts: dict = {}
     vertex_kw = {"vertex_budget": args.budget} if args.budget is not None else {}
@@ -165,6 +184,8 @@ def _run_compute(args) -> tuple[dict, int]:
     if args.invariant == "chi":
         results["chi"] = coloring.chromatic_number(G, **vertex_kw)
     elif args.invariant == "chif":
+        from .graphs import bit_list
+
         value, cover, dual = coloring.fractional_chromatic_with_dual(G, **vertex_kw)
         results["chif"] = value
         results["cover"] = [
@@ -194,6 +215,9 @@ def _run_compute(args) -> tuple[dict, int]:
 
 
 def _run_certify(args) -> tuple[dict, int]:
+    from . import certify
+    from .sparse import Weighting, ranked_order
+
     G, w = _load_graph(args.file)
     if w is None:
         w = Weighting.uniform(G.n)
@@ -212,6 +236,8 @@ def _run_certify(args) -> tuple[dict, int]:
 
 
 def _run_certificate(args) -> tuple[dict, int]:
+    from . import certify
+
     G, w = _load_graph(args.file)
     if args.strict:
         report = certify.cover_bound_certificate(
@@ -258,14 +284,18 @@ def _int_args(args: list[str], want: int, what: str) -> list[int]:
 
 
 def _run_construct(args) -> tuple[dict, int]:
+    from . import constructions
+
     vertex_kw = {"vertex_budget": args.budget} if args.budget is not None else {}
     if args.what == "kneser":
         n, k = _int_args(args.args, 2, "construct kneser")
         G = constructions.kneser_graph(n, k, **vertex_kw)
         payload = graph_to_dict(G)
     elif args.what == "complete":
+        from .graphs import CONSTRUCT_VERTEX_BUDGET, complete_graph
+
         (n,) = _int_args(args.args, 1, "construct complete")
-        limit = constructions.CONSTRUCT_VERTEX_BUDGET if args.budget is None else args.budget
+        limit = CONSTRUCT_VERTEX_BUDGET if args.budget is None else args.budget
         if n > limit:
             raise BudgetExceededError("complete graph construction", n, limit)
         payload = graph_to_dict(complete_graph(n))
@@ -298,6 +328,8 @@ def _run_construct(args) -> tuple[dict, int]:
 
 
 def _run_bounds(args) -> tuple[dict, int]:
+    from . import constructions
+
     which = args.which
     if which == "complete":
         (n,) = _int_args(args.args, 1, "bounds complete")
@@ -313,7 +345,9 @@ def _run_bounds(args) -> tuple[dict, int]:
             raise InputError("bounds binom expects T K")
         t = parse_fraction(args.args[0])
         (k,) = _int_args(args.args[1:], 1, "bounds binom K")
-        return {"results": {"holds": certify.check_binomial_bound(t, k)}}, EXIT_OK
+        from .certify import check_binomial_bound
+
+        return {"results": {"holds": check_binomial_bound(t, k)}}, EXIT_OK
     if which == "biclique-cond":
         m, k = _int_args(args.args, 2, "bounds biclique-cond")
         return {
@@ -330,7 +364,9 @@ def _run_bounds(args) -> tuple[dict, int]:
         raise InputError("bounds union-bound expects T [N]")
     t = parse_fraction(args.args[0])
     n = _int_args(args.args[1:], 1, "bounds union-bound N")[0] if len(args.args) == 2 else None
-    rep = certify.union_bound_report(t, n)
+    from .certify import union_bound_report
+
+    rep = union_bound_report(t, n)
     results = {
         "t": rep.t,
         "d": rep.d,

@@ -19,6 +19,7 @@ from math import comb, isqrt
 
 from .errors import BudgetExceededError, InputError, TriesExhaustedError
 from .graphs import (
+    CONSTRUCT_VERTEX_BUDGET,
     Digraph,
     Graph,
     complete_graph,
@@ -29,7 +30,6 @@ from .graphs import (
     random_orientation,
 )
 
-CONSTRUCT_VERTEX_BUDGET = 4096
 SUBSET_CAP = 1 << 24
 KNESER_BOUND_BITS = 1 << 21
 KNESER_INEQ_K_BUDGET = 1 << 18

@@ -17,6 +17,8 @@ from typing import Iterable, Iterator
 from .errors import BudgetExceededError, InputError
 
 ENUM_EDGE_BUDGET = 24
+# the most vertices a constructed graph or a graph file may have
+CONSTRUCT_VERTEX_BUDGET = 4096
 ACYCLIC_COUNT_VERTEX_BUDGET = 16
 
 _MASK64 = (1 << 64) - 1

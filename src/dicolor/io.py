@@ -8,8 +8,10 @@ Two input formats are accepted:
 
 Rationals are always serialized as "p/q" strings, never as decimals, so
 round trips are exact.  A file may declare at most
-``CONSTRUCT_VERTEX_BUDGET`` vertices, checked as soon as n is read, so no
-list of n entries is built for a larger one.
+``graphs.CONSTRUCT_VERTEX_BUDGET`` vertices, checked as soon as n is read,
+so no list of n entries is built for a larger one.  The constant lives in
+``graphs``, not ``constructions``, so reading a file loads no construction
+code.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import CONSTRUCT_VERTEX_BUDGET
 from .errors import BudgetExceededError, GraphFormatError, InputError
-from .graphs import Digraph, Graph
+from .graphs import CONSTRUCT_VERTEX_BUDGET, Digraph, Graph
 from .sparse import Weighting
 
 

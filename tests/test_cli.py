@@ -706,6 +706,15 @@ _ARGV_CORPUS = [
     ["compute"],
     ["certify", "g.json", "--t", "1"],
     ["certify", "g.json", "--t", "-1/2", "--d", "1"],
+    ["certify", "g.json", "--t=-1/2", "--d", "1"],
+    ["certify", "g.json", "--t", "-1e5", "--d", "-.5"],
+    ["certificate", "g.json", "--t", "1", "--d", "-1/2"],
+    ["certificate", "g.json", "--t", "1", "--d=-1/2"],
+    ["bounds", "union-bound", "-1/2"],
+    ["bounds", "union-bound", "--", "-1/2"],
+    ["bounds", "union-bound", "-2"],
+    ["bounds", "binom", "-3/2", "4"],
+    ["bounds", "binom", "--", "-3/2", "4"],
     ["certify", "g.json", "--t", "1", "--d", "1", "--max-tries", "x"],
     ["certify"],
     ["certificate", "g.json", "--strict", "yes"],
@@ -735,6 +744,29 @@ def test_direct_dispatch_parses_as_the_top_parser(capsys, argv):
     # must be those of the one top-level parse it replaced
     assert _parse_outcome(_parse_args, argv, capsys) == \
         _parse_outcome(_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, explicit", [
+    (["certify", "K4", "--t", "-1/2", "--d", "1"], ["certify", "K4", "--t=-1/2", "--d", "1"]),
+    (["certify", "K4", "--t", "1", "--d", "-1/2"], ["certify", "K4", "--t", "1", "--d=-1/2"]),
+    (["certificate", "K4", "--t", "1", "--d", "-1/2"],
+     ["certificate", "K4", "--t", "1", "--d=-1/2"]),
+    (["certificate", "K4", "--t", "-1/2", "--d", "1"],
+     ["certificate", "K4", "--t=-1/2", "--d", "1"]),
+    (["bounds", "union-bound", "-1/2"], ["bounds", "union-bound", "--", "-1/2"]),
+    (["bounds", "binom", "-3/2", "4"], ["bounds", "binom", "--", "-3/2", "4"]),
+])
+def test_negative_rationals_are_values(tmp_path, capsys, argv, explicit):
+    # argparse took -1/2 for an option: --t -1/2 ended in "expected one
+    # argument" and bounds union-bound -1/2 in "unrecognized arguments",
+    # while --t=-1/2 and -- -1/2 reached the library's own message
+    k4 = write(tmp_path, "k4.json", json.dumps(graph_to_dict(complete_graph(4))))
+    runs = [run_cli(capsys, *[k4 if a == "K4" else a for a in args]) for args in (argv, explicit)]
+    (code, out, err), (want_code, want_out, want_err) = runs
+    assert (code, out) == (want_code, want_out) == (want_code, "")
+    error, want = json.loads(err)["error"], json.loads(want_err)["error"]
+    assert error == want
+    assert "argument" not in error["message"]
 
 
 _HUGE = "1" + "0" * 30
@@ -773,6 +805,44 @@ def test_subcommand_arguments_end_in_one_json_line(tmp_path, argv):
     lines = (done.stdout + done.stderr).splitlines()
     assert len(lines) == 1, done.stdout + done.stderr
     strict_json(lines[0])
+
+
+def test_cli_import_loads_only_the_front_end():
+    # compute never needs certify or constructions, and no subcommand needs
+    # the acceptance suite, so importing the CLI compiles none of them
+    src = os.path.dirname(os.path.dirname(dicolor.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dicolor.cli; print(' '.join(sorted(m for m in "
+         "sys.modules if m == 'dicolor' or m.startswith('dicolor.'))))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30,
+    )
+    assert done.stdout.split() == ["dicolor", "dicolor.cli", "dicolor.errors", "dicolor.graphs",
+                                   "dicolor.io", "dicolor.sparse"], done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compute", "chi", "K3"], 0),
+    (["certify", "K3", "--t", "1", "--d", "2"], 0),
+    (["certificate", "K3", "--strict"], 1),
+    (["construct", "complete", "4"], 0),
+    (["bounds", "complete", "5"], 0),
+])
+def test_each_subcommand_imports_what_it_calls(tmp_path, argv, code):
+    # each handler imports its library modules itself; one that lost an
+    # import ends in a NameError traceback in a fresh interpreter
+    k3 = write(tmp_path, "k3.json", K3_JSON)
+    done = run_cli_process(*[k3 if a == "K3" else a for a in argv])
+    assert done.returncode == code, done.stderr
+    lines = (done.stdout + done.stderr).splitlines()
+    assert len(lines) == 1, done.stdout + done.stderr
+    strict_json(lines[0])
+
+
+def test_verify_imports_what_it_calls(tmp_path):
+    done = run_cli_process("verify", "--suite", "kneser", "--out", str(tmp_path / "v.csv"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "3/3 checks passed"
+    assert (tmp_path / "v.csv").read_text().startswith("number,name,passed")
 
 
 def test_reports_and_errors_are_one_json_line(tmp_path, capsys):
