@@ -8,9 +8,10 @@ exceeded (running out of memory included), 3 invalid input (usage errors
 included).  Identical invocations with the same seed reproduce identical
 result fields; only timings vary.
 
-Importing this module loads only the front end (``errors``, ``io`` and
-what ``io`` reads with); each subcommand imports the library modules it
-calls, so ``compute`` never loads ``certify`` or ``constructions``.
+Importing this module loads only the front end: ``errors``, ``io`` and
+the ``graphs`` and ``sparse`` modules that ``io`` builds with.  Each
+subcommand imports the library modules it calls, so ``compute`` never
+loads ``certify`` or ``constructions``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceededError,
@@ -34,11 +34,10 @@ from .errors import (
     TriesExhaustedError,
     format_count,
 )
+# graphs and sparse load with io, so these names cost nothing at start-up
+from .graphs import CONSTRUCT_VERTEX_BUDGET, Graph, bit_list, complete_graph
 from .io import build_digraph, build_graph, format_fraction, graph_to_dict, load_graph_file, parse_fraction
-
-if TYPE_CHECKING:
-    from .graphs import Graph
-    from .sparse import Weighting
+from .sparse import Weighting, ranked_order
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -184,8 +183,6 @@ def _run_compute(args) -> tuple[dict, int]:
     if args.invariant == "chi":
         results["chi"] = coloring.chromatic_number(G, **vertex_kw)
     elif args.invariant == "chif":
-        from .graphs import bit_list
-
         value, cover, dual = coloring.fractional_chromatic_with_dual(G, **vertex_kw)
         results["chif"] = value
         results["cover"] = [
@@ -216,7 +213,6 @@ def _run_compute(args) -> tuple[dict, int]:
 
 def _run_certify(args) -> tuple[dict, int]:
     from . import certify
-    from .sparse import Weighting, ranked_order
 
     G, w = _load_graph(args.file)
     if w is None:
@@ -292,8 +288,6 @@ def _run_construct(args) -> tuple[dict, int]:
         G = constructions.kneser_graph(n, k, **vertex_kw)
         payload = graph_to_dict(G)
     elif args.what == "complete":
-        from .graphs import CONSTRUCT_VERTEX_BUDGET, complete_graph
-
         (n,) = _int_args(args.args, 1, "construct complete")
         limit = CONSTRUCT_VERTEX_BUDGET if args.budget is None else args.budget
         if n > limit:
@@ -345,9 +339,9 @@ def _run_bounds(args) -> tuple[dict, int]:
             raise InputError("bounds binom expects T K")
         t = parse_fraction(args.args[0])
         (k,) = _int_args(args.args[1:], 1, "bounds binom K")
-        from .certify import check_binomial_bound
+        from . import certify
 
-        return {"results": {"holds": check_binomial_bound(t, k)}}, EXIT_OK
+        return {"results": {"holds": certify.check_binomial_bound(t, k)}}, EXIT_OK
     if which == "biclique-cond":
         m, k = _int_args(args.args, 2, "bounds biclique-cond")
         return {
@@ -364,9 +358,9 @@ def _run_bounds(args) -> tuple[dict, int]:
         raise InputError("bounds union-bound expects T [N]")
     t = parse_fraction(args.args[0])
     n = _int_args(args.args[1:], 1, "bounds union-bound N")[0] if len(args.args) == 2 else None
-    from .certify import union_bound_report
+    from . import certify
 
-    rep = union_bound_report(t, n)
+    rep = certify.union_bound_report(t, n)
     results = {
         "t": rep.t,
         "d": rep.d,
