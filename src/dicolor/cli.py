@@ -52,9 +52,9 @@ _ENCODER = json.JSONEncoder(separators=_COMPACT, allow_nan=False)
 # the values _ser returns as they are
 _PLAIN = frozenset({int, str, bool, type(None)})
 # an argument that starts like a negative number is a value, not an option:
-# argparse's own pattern takes only -5 and -.5, so "--t -1/2" failed with
-# "expected one argument" and "bounds union-bound -1/2" with "unrecognized
-# arguments" instead of reaching the library's message for the value
+# argparse's own pattern takes only -5 and -.5, and would stop "--t -1/2" or
+# "bounds union-bound -1/2" at a usage error before the library could name
+# the fault in the value
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
@@ -322,9 +322,11 @@ def _run_construct(args) -> tuple[dict, int]:
 
 
 def _run_bounds(args) -> tuple[dict, int]:
-    from . import constructions
-
     which = args.which
+    if which in ("binom", "union-bound"):
+        from . import certify
+    else:
+        from . import constructions
     if which == "complete":
         (n,) = _int_args(args.args, 1, "bounds complete")
         return {"results": {"bound": constructions.complete_graph_lower_bound(n)}}, EXIT_OK
@@ -339,8 +341,6 @@ def _run_bounds(args) -> tuple[dict, int]:
             raise InputError("bounds binom expects T K")
         t = parse_fraction(args.args[0])
         (k,) = _int_args(args.args[1:], 1, "bounds binom K")
-        from . import certify
-
         return {"results": {"holds": certify.check_binomial_bound(t, k)}}, EXIT_OK
     if which == "biclique-cond":
         m, k = _int_args(args.args, 2, "bounds biclique-cond")
@@ -358,8 +358,6 @@ def _run_bounds(args) -> tuple[dict, int]:
         raise InputError("bounds union-bound expects T [N]")
     t = parse_fraction(args.args[0])
     n = _int_args(args.args[1:], 1, "bounds union-bound N")[0] if len(args.args) == 2 else None
-    from . import certify
-
     rep = certify.union_bound_report(t, n)
     results = {
         "t": rep.t,

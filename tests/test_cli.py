@@ -757,9 +757,9 @@ def test_direct_dispatch_parses_as_the_top_parser(capsys, argv):
     (["bounds", "binom", "-3/2", "4"], ["bounds", "binom", "--", "-3/2", "4"]),
 ])
 def test_negative_rationals_are_values(tmp_path, capsys, argv, explicit):
-    # argparse took -1/2 for an option: --t -1/2 ended in "expected one
-    # argument" and bounds union-bound -1/2 in "unrecognized arguments",
-    # while --t=-1/2 and -- -1/2 reached the library's own message
+    # argparse's own pattern reads -1/2 as an option; after an option or as
+    # a positional it must reach the library's message, as --t=-1/2 and
+    # -- -1/2 do
     k4 = write(tmp_path, "k4.json", json.dumps(graph_to_dict(complete_graph(4))))
     runs = [run_cli(capsys, *[k4 if a == "K4" else a for a in args]) for args in (argv, explicit)]
     (code, out, err), (want_code, want_out, want_err) = runs
@@ -808,8 +808,8 @@ def test_subcommand_arguments_end_in_one_json_line(tmp_path, argv):
 
 
 def test_cli_import_loads_only_the_front_end():
-    # compute never needs certify or constructions, and no subcommand needs
-    # the acceptance suite, so importing the CLI compiles none of them
+    # each subcommand imports the library modules it calls, so starting the
+    # CLI compiles none of them
     src = os.path.dirname(os.path.dirname(dicolor.__file__))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, dicolor.cli; print(' '.join(sorted(m for m in "
@@ -826,6 +826,7 @@ def test_cli_import_loads_only_the_front_end():
     (["certificate", "K3", "--strict"], 1),
     (["construct", "complete", "4"], 0),
     (["bounds", "complete", "5"], 0),
+    (["bounds", "binom", "3", "4"], 0),
 ])
 def test_each_subcommand_imports_what_it_calls(tmp_path, argv, code):
     # each handler imports its library modules itself; one that lost an
